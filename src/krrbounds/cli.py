@@ -157,6 +157,11 @@ def _cmd_effdim(args) -> int:
     ordering = " < ".join(sorted(names, key=names.get))
     print(f"effective dimension at beta={args.beta} b={args.b} lambda={args.lam}")
     print(f"  exact N(lambda)  = {_fmt(row.exact)}")
+    print(f"  terms summed     = {row.terms_summed}")
+    print(
+        f"  enclosure width  = {_fmt(row.truncation_error_bound)}"
+        "   (N(lambda) in [exact, exact + width])"
+    )
     print(f"  corrected bound  = {_fmt(row.corrected)}   gap = {_fmt(gap_corrected)}")
     print(f"  claimed bound    = {_fmt(row.claimed)}   gap = {_fmt(gap_claimed)}")
     print(f"  ordering: {ordering}")

@@ -68,10 +68,18 @@ class EffDimResult:
 
 @dataclass(frozen=True)
 class BoundComparisonRow:
+    """Exact N(lambda) beside both closed-form bounds.
+
+    terms_summed and truncation_error_bound are those of the exact value's
+    ``EffDimResult``.
+    """
+
     lam: float
     exact: float
     corrected: float
     claimed: float
+    terms_summed: int
+    truncation_error_bound: float
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -256,13 +264,15 @@ def bound_comparison_table(
     spectrum = polynomial_spectrum(beta, b, 1)
     rows = []
     for lam in lams:
-        exact = effective_dimension_exact(spectrum, lam, tol).value
+        exact = effective_dimension_exact(spectrum, lam, tol)
         rows.append(
             BoundComparisonRow(
                 lam=lam,
-                exact=exact,
+                exact=exact.value,
                 corrected=corrected_bound(beta, b, lam),
                 claimed=claimed_bound(beta, b, lam),
+                terms_summed=exact.terms_summed,
+                truncation_error_bound=exact.truncation_error_bound,
             )
         )
     return rows

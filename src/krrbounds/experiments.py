@@ -12,9 +12,11 @@ records.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 import statistics
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +46,6 @@ __all__ = [
 # Source-condition radius used by every sweep; the record schema does not
 # carry it, so it stays fixed rather than silently configurable.
 TARGET_RADIUS = 1.0
-
-RECORD_FIELDS = (
-    "ell",
-    "repetition",
-    "lambda",
-    "excess_risk",
-    "seed",
-    "b",
-    "c",
-    "beta",
-    "sigma",
-    "n_modes",
-    "delta",
-)
 
 # Smallest grid points are excluded from slope fits by default: the rate
 # statement is asymptotic and small ell sits in the pre-asymptotic regime.
@@ -126,6 +114,13 @@ class RateExperimentRecord:
             raise ValueError(f"excess_risk must be nonnegative, got {self.excess_risk}")
 
 
+# Record lines hold the fields in declaration order; each is parsed back by
+# its annotated type.
+_RECORD_TYPES = typing.get_type_hints(RateExperimentRecord)
+_RECORD_ATTRS = tuple(f.name for f in dataclasses.fields(RateExperimentRecord))
+RECORD_FIELDS = tuple("lambda" if name == "lam" else name for name in _RECORD_ATTRS)
+
+
 @dataclass(frozen=True)
 class PowerLawFit:
     slope: float
@@ -178,12 +173,8 @@ def run_cell(
     seed = cell_seed(config.master_seed, ell, repetition)
     lam = rates.lambda_schedule(config.b, config.c, ell)
     dataset = synth.sample_dataset(model, target, config.sigma, ell, seed)
-    gram = krr.gram_matrix(model.kernel(), dataset.xs)
-    alpha = krr.krr_fit(gram, dataset.ys, lam)
-    fitted = krr.FittedModel(
-        coefficients=alpha, training_inputs=dataset.xs, lam=lam, ell=ell
-    )
-    risk = synth.exact_excess_risk(model, target, fitted)
+    coefficients = krr.krr_fit_factored(model.kernel(), dataset.xs, dataset.ys, lam)
+    risk = synth.coefficient_excess_risk(target, coefficients)
     return RateExperimentRecord(
         ell=ell,
         repetition=repetition,
@@ -289,7 +280,11 @@ def effdim_convergence_experiment(
     repetitions: int,
     seed: int,
 ) -> EffDimConvergenceResult:
-    """Empirical effective dimension of sampled Gram matrices vs the exact value."""
+    """Empirical effective dimension of sampled Gram matrices vs the exact value.
+
+    Each repetition's eigensolve runs on an n_modes x n_modes matrix; see
+    ``krr.empirical_effective_dimension_factored``.
+    """
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise ValueError("lambda_grid must be nonempty")
@@ -302,8 +297,7 @@ def effdim_convergence_experiment(
     for rep in range(repetitions):
         rng = np.random.Generator(np.random.Philox(key=cell_seed(seed, ell, rep)))
         xs = rng.uniform(0.0, 1.0, size=ell)
-        gram = krr.gram_matrix(kernel, xs)
-        per_rep[rep] = krr.empirical_effective_dimension_profile(gram, lams)
+        per_rep[rep] = krr.empirical_effective_dimension_factored(kernel, xs, lams)
     spectrum = polynomial_spectrum(model.beta, model.b, 1)
     rows = tuple(
         (
@@ -323,13 +317,9 @@ def _format_value(value) -> str:
 
 def write_records(records, path) -> None:
     """One record per line, comma-separated in RECORD_FIELDS order, full precision."""
-    lines = []
-    for r in records:
-        values = (
-            r.ell, r.repetition, r.lam, r.excess_risk, r.seed,
-            r.b, r.c, r.beta, r.sigma, r.n_modes, r.delta,
-        )
-        lines.append(",".join(_format_value(v) for v in values))
+    lines = [
+        ",".join(_format_value(getattr(r, name)) for name in _RECORD_ATTRS) for r in records
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -348,17 +338,7 @@ def read_records(path) -> list[RateExperimentRecord]:
                 )
             records.append(
                 RateExperimentRecord(
-                    ell=int(parts[0]),
-                    repetition=int(parts[1]),
-                    lam=float(parts[2]),
-                    excess_risk=float(parts[3]),
-                    seed=int(parts[4]),
-                    b=float(parts[5]),
-                    c=float(parts[6]),
-                    beta=float(parts[7]),
-                    sigma=float(parts[8]),
-                    n_modes=int(parts[9]),
-                    delta=float(parts[10]),
+                    **{name: _RECORD_TYPES[name](part) for name, part in zip(_RECORD_ATTRS, parts)}
                 )
             )
     return records

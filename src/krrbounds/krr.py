@@ -3,6 +3,12 @@
 The regularized system is (K + ell * lambda * I) alpha = y, matching the
 operator normalization T ~ K/ell under which the effective dimension keeps
 its meaning; the lambda here is the same lambda the risk bound speaks about.
+
+A factored kernel K = A A^T, with A = Phi W^(1/2) for the ell x m feature
+matrix Phi and weights W, has rank at most m.  K and the m x m matrix A^T A
+share their nonzero eigenvalues and their trace, so the ridge fit is solved
+on whichever of the two is smaller, and the empirical effective dimension is
+read from the eigenvalues of A^T A.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ __all__ = [
     "FittedModel",
     "gram_matrix",
     "krr_fit",
+    "krr_fit_factored",
     "krr_predict",
     "empirical_effective_dimension",
     "empirical_effective_dimension_profile",
+    "empirical_effective_dimension_factored",
 ]
 
 logger = logging.getLogger(__name__)
@@ -72,18 +80,24 @@ class FittedModel:
         object.__setattr__(self, "training_inputs", xs)
 
 
-def gram_matrix(kernel: KernelFn, xs) -> np.ndarray:
-    """K[i, j] = k(x_i, x_j), exactly symmetric (upper triangle mirrored)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("xs must be a nonempty 1-d array of inputs")
+def gram_matrix(kernel: KernelFn, xs, features=None) -> np.ndarray:
+    """K[i, j] = k(x_i, x_j), exactly symmetric (upper triangle mirrored).
+
+    For a factored kernel, ``features`` may carry feature_map(xs) when the
+    caller has evaluated it already; it is then not evaluated again.
+    """
+    xs = _as_inputs(xs)
     if kernel.factored is not None:
         feature_map, weights = kernel.factored
-        scaled = feature_map(xs) * np.sqrt(weights)
+        if features is None:
+            features = feature_map(xs)
+        scaled = features * np.sqrt(weights)
         k = scaled @ scaled.T
+    elif features is not None:
+        raise ValueError("features can only be given for a factored kernel")
     else:
         k = np.asarray(kernel.fn(xs[:, None], xs[None, :]), dtype=float)
-    return np.triu(k) + np.triu(k, 1).T
+    return _mirror_upper(k)
 
 
 def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
@@ -99,33 +113,35 @@ def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
     ell = K.shape[0]
-    if y.shape != (ell,):
-        raise ValueError(f"y must have shape ({ell},), got {y.shape}")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_targets(y, ell, lam)
     if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(K).max()))):
         raise ValueError("K must be symmetric")
+    return _ridge_cholesky_solve(K, y, ell, lam)
 
-    shifted = K + ell * lam * np.eye(ell)
-    try:
-        alpha = linalg.cho_solve(linalg.cho_factor(shifted, lower=True), y)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(K)) / ell
-        logger.warning(
-            "Cholesky factorization failed; retrying with jitter %.3e on the diagonal",
-            jitter,
-        )
-        alpha = linalg.cho_solve(
-            linalg.cho_factor(shifted + jitter * np.eye(ell), lower=True), y
-        )
 
-    residual = float(np.linalg.norm(shifted @ alpha - y))
-    if residual > _RESIDUAL_RTOL * float(np.linalg.norm(y)):
-        raise RuntimeError(
-            f"ridge solve residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_RTOL:.0e} * ||y||; system too ill-conditioned"
-        )
-    return alpha
+def krr_fit_factored(kernel: KernelFn, xs, y, lam: float) -> np.ndarray:
+    """Fitted basis coefficients c = W Phi^T alpha of the ridge fit on (xs, y).
+
+    alpha solves (K + ell * lambda * I) alpha = y for the factored kernel
+    K = A A^T, A = Phi W^(1/2), and c holds the fitted function's weights on
+    the features.  The feature map is evaluated once.  For ell > m the
+    m x m primal system (A^T A + ell * lambda * I) z = A^T y is solved and
+    c = W^(1/2) z, by the push-through identity
+    A^T (A A^T + s I)^-1 = (A^T A + s I)^-1 A^T; otherwise the dual system
+    goes through ``gram_matrix`` and ``krr_fit``.  Both use the same
+    Cholesky solve, jitter retry and residual check.
+    """
+    xs, features, weights = _evaluate_features(kernel, xs)
+    y = np.asarray(y, dtype=float)
+    ell, n_features = features.shape
+    _check_targets(y, ell, lam)
+    if ell > n_features:
+        sqrt_weights = np.sqrt(weights)
+        scaled = features * sqrt_weights
+        z = _ridge_cholesky_solve(_mirror_upper(scaled.T @ scaled), scaled.T @ y, ell, lam)
+        return sqrt_weights * z
+    alpha = krr_fit(gram_matrix(kernel, xs, features=features), y, lam)
+    return weights * (features.T @ alpha)
 
 
 def krr_predict(kernel: KernelFn, xs, alpha, x):
@@ -160,8 +176,87 @@ def empirical_effective_dimension_profile(K: np.ndarray, lambdas) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
+    lams = _positive_lambdas(lambdas)
+    return _effdim_from_eigenvalues(np.linalg.eigvalsh(K), K.shape[0], lams)
+
+
+def empirical_effective_dimension_factored(kernel: KernelFn, xs, lambdas) -> np.ndarray:
+    """``empirical_effective_dimension_profile`` of the Gram matrix at xs.
+
+    The eigensolve runs on the m x m matrix A^T A, which has the nonzero
+    eigenvalues of K = A A^T; the remaining eigenvalues of either are zero
+    and add nothing to the sum.  The feature map is evaluated once.
+    """
+    _, features, weights = _evaluate_features(kernel, xs)
+    lams = _positive_lambdas(lambdas)
+    scaled = features * np.sqrt(weights)
+    return _effdim_from_eigenvalues(np.linalg.eigvalsh(scaled.T @ scaled), len(features), lams)
+
+
+def _effdim_from_eigenvalues(eigenvalues: np.ndarray, ell: int, lams: np.ndarray) -> np.ndarray:
+    mu = np.clip(eigenvalues / ell, 0.0, None)
+    return np.array([float(np.sum(mu / (mu + lam))) for lam in lams])
+
+
+def _positive_lambdas(lambdas) -> np.ndarray:
     lams = np.asarray(list(lambdas), dtype=float)
     if np.any(lams <= 0):
         raise ValueError("all lambda values must be positive")
-    mu = np.clip(np.linalg.eigvalsh(K) / K.shape[0], 0.0, None)
-    return np.array([float(np.sum(mu / (mu + lam))) for lam in lams])
+    return lams
+
+
+def _as_inputs(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("xs must be a nonempty 1-d array of inputs")
+    return xs
+
+
+def _evaluate_features(kernel: KernelFn, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, feature_map(xs), weights) of a factored kernel."""
+    if kernel.factored is None:
+        raise ValueError("kernel has no factored form (feature_map, weights)")
+    xs = _as_inputs(xs)
+    feature_map, weights = kernel.factored
+    return xs, feature_map(xs), weights
+
+
+def _mirror_upper(k: np.ndarray) -> np.ndarray:
+    return np.triu(k) + np.triu(k, 1).T
+
+
+def _check_targets(y: np.ndarray, ell: int, lam: float) -> None:
+    if y.shape != (ell,):
+        raise ValueError(f"y must have shape ({ell},), got {y.shape}")
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+
+
+def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: float) -> np.ndarray:
+    """Solve (gram + ell * lambda * I) x = rhs; gram is K or A^T A.
+
+    Both have trace(K), so the one logged jitter retry adds the same
+    1e-12 * trace(K)/ell on either side.  The residual is checked against
+    ||rhs||.
+    """
+    size = gram.shape[0]
+    shifted = gram + ell * lam * np.eye(size)
+    try:
+        solution = linalg.cho_solve(linalg.cho_factor(shifted, lower=True), rhs)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * float(np.trace(gram)) / ell
+        logger.warning(
+            "Cholesky factorization failed; retrying with jitter %.3e on the diagonal",
+            jitter,
+        )
+        solution = linalg.cho_solve(
+            linalg.cho_factor(shifted + jitter * np.eye(size), lower=True), rhs
+        )
+
+    residual = float(np.linalg.norm(shifted @ solution - rhs))
+    if residual > _RESIDUAL_RTOL * float(np.linalg.norm(rhs)):
+        raise RuntimeError(
+            f"ridge solve residual {residual:.3e} exceeds "
+            f"{_RESIDUAL_RTOL:.0e} * ||rhs||; system too ill-conditioned"
+        )
+    return solution

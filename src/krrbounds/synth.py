@@ -31,6 +31,7 @@ __all__ = [
     "sample_dataset",
     "source_condition_value",
     "exact_excess_risk",
+    "coefficient_excess_risk",
 ]
 
 DEFAULT_TAIL_MARGIN = 0.1
@@ -193,8 +194,7 @@ def exact_excess_risk(
     """Squared L2(uniform) distance between the fitted function and the target.
 
     The fitted function has basis coefficients c_n = mu_n sum_i alpha_i
-    phi_n(x_i), so the distance is sum_n (c_n - theta_n)**2, exact up to the
-    model's own truncation.
+    phi_n(x_i); see ``coefficient_excess_risk``.
     """
     _check_same_modes(model, target)
     if fitted.training_inputs.shape[0] != fitted.coefficients.shape[0]:
@@ -202,7 +202,22 @@ def exact_excess_risk(
     fitted_coeffs = model.eigenvalues * (
         model.basis(fitted.training_inputs).T @ fitted.coefficients
     )
-    return float(np.sum((fitted_coeffs - target.theta) ** 2))
+    return coefficient_excess_risk(target, fitted_coeffs)
+
+
+def coefficient_excess_risk(target: TargetFunction, coefficients) -> float:
+    """sum_n (c_n - theta_n)**2 for a function with basis coefficients c.
+
+    By orthonormality of the basis this is the squared L2(uniform) distance
+    to the target, exact up to the model's own truncation.
+    """
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != target.theta.shape:
+        raise ValueError(
+            f"basis coefficients have shape {coefficients.shape}, "
+            f"target has {target.theta.shape[0]} coefficients"
+        )
+    return float(np.sum((coefficients - target.theta) ** 2))
 
 
 def _check_same_modes(model: SpectralKernelModel, target: TargetFunction) -> None:

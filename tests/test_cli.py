@@ -4,6 +4,8 @@ import re
 import pytest
 
 from krrbounds.cli import load_config, main
+from krrbounds.effdim import effective_dimension_exact
+from krrbounds.spectral import polynomial_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +45,18 @@ class TestEffdimCommand:
         assert values["corrected"] == pytest.approx(15.708, abs=1e-3)
         assert values["claimed"] == pytest.approx(6.325, abs=1e-3)
         assert "claimed < exact < corrected" in out
+
+    def test_reports_terms_and_enclosure_width(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "1e-3", "--tol", "1e-6"
+        )
+        assert code == 0
+        terms = int(re.search(r"terms summed\s+= (\d+)", out).group(1))
+        width = float(re.search(r"enclosure width\s+= (\S+)", out).group(1))
+        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0, 1), 1e-3, tol=1e-6)
+        assert terms == result.terms_summed >= 16
+        assert width == result.truncation_error_bound
+        assert 0.0 <= width <= 1e-6
 
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(

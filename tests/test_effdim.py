@@ -188,6 +188,13 @@ class TestBoundComparisonTable:
         assert row.claimed == pytest.approx(6.325, abs=1e-3)
         assert row.claimed < row.exact < row.corrected
 
+    def test_row_carries_enclosure(self):
+        (row,) = bound_comparison_table(0.1, 2.0, [1e-3], tol=1e-6)
+        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0, 1), 1e-3, tol=1e-6)
+        assert row.exact == result.value
+        assert row.terms_summed == result.terms_summed
+        assert row.truncation_error_bound == result.truncation_error_bound
+
     def test_large_lambda_reverses_ordering(self):
         (row,) = bound_comparison_table(1.0, 2.0, [1.0])
         assert row.exact == pytest.approx(N_BETA1_B2_LAM1, abs=1e-6)

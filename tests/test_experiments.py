@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from krrbounds.effdim import corrected_bound
 from krrbounds.experiments import (
+    RECORD_FIELDS,
     RateExperimentRecord,
     RateSweepConfig,
     cell_seed,
@@ -16,6 +18,7 @@ from krrbounds.experiments import (
     write_records,
     write_report_csv,
 )
+from krrbounds.krr import gram_matrix
 from krrbounds.rates import lambda_schedule
 from krrbounds.synth import build_model, make_target
 
@@ -66,9 +69,29 @@ class TestRateSweep:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(exp_mod.krr, "krr_fit", boom)
+        monkeypatch.setattr(exp_mod.krr, "krr_fit_factored", boom)
         with pytest.raises(RuntimeError, match=r"cell \(ell=32, repetition=0\)"):
             rate_sweep(small_config())
+
+    @pytest.mark.parametrize("ell", [16, 32, 128])
+    def test_cell_evaluates_basis_twice(self, ell, monkeypatch):
+        # once to draw the targets, once for the fit; the risk needs none
+        from krrbounds.synth import SpectralKernelModel
+
+        config = small_config(ell_grid=(ell,))
+        model = build_model(config.beta, config.b, config.n_modes)
+        target = make_target(model, config.c, 1.0, config.delta, seed=1)
+        rows = []
+        original = SpectralKernelModel.basis
+
+        def counting_basis(self, xs):
+            result = original(self, xs)
+            rows.append(result.shape[0])
+            return result
+
+        monkeypatch.setattr(SpectralKernelModel, "basis", counting_basis)
+        run_cell(config, model, target, ell, 0)
+        assert sum(rows) <= 2 * ell
 
     def test_noiseless_c2_median_risk_nonincreasing(self):
         config = RateSweepConfig(
@@ -202,6 +225,20 @@ class TestEffDimConvergence:
         with pytest.raises(ValueError, match="nonempty"):
             effdim_convergence_experiment(model, [], ell=10, repetitions=1, seed=0)
 
+    @pytest.mark.parametrize("ell", [40, 300])
+    def test_repetitions_match_gram_eigensolve(self, ell):
+        model = build_model(1.0, 2.0, 64)
+        lams = [0.02, 0.05, 0.2]
+        res = effdim_convergence_experiment(model, lams, ell=ell, repetitions=3, seed=5)
+        for rep in range(3):
+            rng = np.random.Generator(np.random.Philox(key=cell_seed(5, ell, rep)))
+            gram = gram_matrix(model.kernel(), rng.uniform(0.0, 1.0, size=ell))
+            mu = np.clip(np.linalg.eigvalsh(gram) / ell, 0.0, None)
+            expected = [np.sum(mu / (mu + lam)) for lam in lams]
+            np.testing.assert_allclose(res.per_repetition[rep], expected, rtol=1e-10)
+        bounds = [corrected_bound(1.0, 2.0, lam) for lam in lams]
+        assert np.all(res.per_repetition <= bounds)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -222,6 +259,24 @@ class TestPersistence:
         assert first[3] == repr(r.excess_risk)
         assert first[4] == str(r.seed)
         assert first[5:] == [repr(2.0), repr(2.0), repr(1.0), repr(0.1), "32", repr(0.1)]
+
+    def test_single_record_line_is_fixed(self, tmp_path):
+        record = RateExperimentRecord(
+            ell=64, repetition=3, lam=lambda_schedule(2.0, 2.0, 64),
+            excess_risk=0.012345678901234567, seed=9007199254740993,
+            b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=512, delta=0.1,
+        )
+        path = tmp_path / "records.txt"
+        write_records([record], path)
+        assert path.read_bytes() == (
+            b"64,3,0.18946457081379975,0.012345678901234567,9007199254740993,"
+            b"2.0,2.0,1.0,0.1,512,0.1\n"
+        )
+        assert read_records(path) == [record]
+        assert RECORD_FIELDS == (
+            "ell", "repetition", "lambda", "excess_risk", "seed",
+            "b", "c", "beta", "sigma", "n_modes", "delta",
+        )
 
     def test_report_csv_has_header(self, tmp_path):
         records = rate_sweep(small_config())

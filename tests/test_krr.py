@@ -1,14 +1,26 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from krrbounds.krr import (
     FittedModel,
     KernelFn,
     empirical_effective_dimension,
+    empirical_effective_dimension_factored,
     empirical_effective_dimension_profile,
     gram_matrix,
     krr_fit,
+    krr_fit_factored,
     krr_predict,
+)
+from krrbounds.synth import (
+    build_model,
+    coefficient_excess_risk,
+    exact_excess_risk,
+    make_target,
+    sample_dataset,
 )
 
 
@@ -50,6 +62,16 @@ class TestGramMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             gram_matrix(product_kernel(), [])
+
+    def test_precomputed_features_match(self):
+        model = build_model(1.0, 2.0, 16)
+        xs = np.random.default_rng(1).uniform(size=20)
+        k = gram_matrix(model.kernel(), xs, features=model.basis(xs))
+        np.testing.assert_array_equal(k, gram_matrix(model.kernel(), xs))
+
+    def test_features_need_factored_kernel(self):
+        with pytest.raises(ValueError, match="factored"):
+            gram_matrix(product_kernel(), [1.0, 2.0], features=np.ones((2, 1)))
 
 
 class TestKrrFit:
@@ -104,6 +126,71 @@ class TestKrrFit:
             krr_fit(np.eye(2), np.array([1.0, 1.0]), 0.0)
 
 
+N_MODES = 32
+
+
+def factored_problem(b, ell, sigma=0.1):
+    model = build_model(1.0, b, N_MODES)
+    target = make_target(model, 1.5, R=1.0, seed=4)
+    data = sample_dataset(model, target, sigma=sigma, ell=ell, seed=ell)
+    return model, target, data
+
+
+class TestKrrFitFactored:
+    """Ridge fit in the smaller of the dual (ell) and primal (n_modes) spaces."""
+
+    @pytest.mark.parametrize("b", [1.5, 2.0])
+    @pytest.mark.parametrize("ell", [N_MODES // 2, N_MODES, 4 * N_MODES])
+    def test_risk_matches_dual_gram_path(self, b, ell):
+        model, target, data = factored_problem(b, ell)
+        lam = 0.01
+        alpha = krr_fit(gram_matrix(model.kernel(), data.xs), data.ys, lam)
+        fitted = FittedModel(coefficients=alpha, training_inputs=data.xs, lam=lam, ell=ell)
+        expected = exact_excess_risk(model, target, fitted)
+        coefficients = krr_fit_factored(model.kernel(), data.xs, data.ys, lam)
+        assert coefficient_excess_risk(target, coefficients) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
+    def test_jitter_retry_is_logged(self, ell, monkeypatch, caplog):
+        model, _, data = factored_problem(2.0, ell)
+        expected = krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+        calls = []
+        original = linalg.cho_factor
+
+        def fail_once(*args, **kwargs):
+            calls.append(args[0].shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "cho_factor", fail_once)
+        with caplog.at_level(logging.WARNING, logger="krrbounds.krr"):
+            got = krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+        assert "jitter" in caplog.text
+        assert calls == [(min(ell, N_MODES),) * 2] * 2
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
+    def test_failed_residual_check_raises(self, ell, monkeypatch):
+        model, _, data = factored_problem(2.0, ell)
+        original = linalg.cho_solve
+        monkeypatch.setattr(linalg, "cho_solve", lambda *a, **k: 2.0 * original(*a, **k))
+        with pytest.raises(RuntimeError, match="residual"):
+            krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+
+    def test_rejects_kernel_without_factored_form(self):
+        with pytest.raises(ValueError, match="factored"):
+            krr_fit_factored(product_kernel(), [1.0, 2.0], [1.0, 1.0], 0.1)
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
+    def test_rejects_nonpositive_lambda(self, ell):
+        model, _, data = factored_problem(2.0, ell)
+        with pytest.raises(ValueError, match="lambda"):
+            krr_fit_factored(model.kernel(), data.xs, data.ys, 0.0)
+
+
 class TestKrrPredict:
     def test_zero_coefficients(self):
         assert krr_predict(product_kernel(), [1.0, 2.0], [0.0, 0.0], 1.5) == 0.0
@@ -153,6 +240,21 @@ class TestEmpiricalEffectiveDimension:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             empirical_effective_dimension(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, N_MODES, 4 * N_MODES])
+    def test_factored_matches_gram_eigensolve(self, ell):
+        model, _, data = factored_problem(2.0, ell)
+        lams = [1e-4, 1e-2, 1.0]
+        gram = gram_matrix(model.kernel(), data.xs)
+        expected = empirical_effective_dimension_profile(gram, lams)
+        got = empirical_effective_dimension_factored(model.kernel(), data.xs, lams)
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
+    def test_factored_rejects_nonpositive_lambda(self, ell):
+        model, _, data = factored_problem(2.0, ell)
+        with pytest.raises(ValueError, match="lambda"):
+            empirical_effective_dimension_factored(model.kernel(), data.xs, [0.1, 0.0])
 
 
 class TestFittedModel:

@@ -7,6 +7,7 @@ from scipy import integrate
 from krrbounds.krr import FittedModel, gram_matrix, krr_fit
 from krrbounds.synth import (
     build_model,
+    coefficient_excess_risk,
     exact_excess_risk,
     make_target,
     sample_dataset,
@@ -184,6 +185,12 @@ class TestExactExcessRisk:
             coefficients=np.zeros(4), training_inputs=np.full(4, 0.3), lam=0.1, ell=4
         )
         assert exact_excess_risk(model, target, fitted) > 0
+
+    def test_coefficient_risk_zero_at_target(self, model):
+        target = make_target(model, 1.5, R=1.0, seed=3)
+        assert coefficient_excess_risk(target, target.theta) == 0.0
+        with pytest.raises(ValueError, match="coefficients"):
+            coefficient_excess_risk(target, target.theta[:-1])
 
     def test_dimension_mismatch_rejected(self, model):
         other = build_model(1.0, 2.0, 3)
