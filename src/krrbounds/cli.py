@@ -9,51 +9,56 @@ EFFDIM_SEED overrides the seed of any simulation config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+import typing
 
 import numpy as np
 
-from . import effdim, experiments, rates
+from . import _checks, effdim, experiments, rates
 from .spectral import PriorParams
 
 __all__ = ["RunConfig", "load_config", "build_parser", "main"]
 
-_CONFIG_SPEC = {
-    # key: (parser, required)
-    "beta": (float, True),
-    "b": (float, True),
-    "c": (float, True),
-    "sigma": (float, True),
-    "n_modes": (int, False),
-    "delta": (float, False),
-    "ell_grid": ("int_list", True),
-    "repetitions": (int, True),
-    "seed": (int, True),
-    "aggregate": (str, False),
-    "burn_in": (int, False),
-    "records_path": (str, True),
-    "report_path": (str, True),
-}
 
-_CONFIG_DEFAULTS = {
-    "n_modes": 512,
-    "delta": 0.1,
-    "aggregate": "median",
-    "burn_in": experiments.DEFAULT_BURN_IN,
-}
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated simulation configuration (flat key = value text file)."""
+    """Validated simulation configuration (flat key = value text file).
+
+    The config keys are the fields of ``RateSweepConfig`` (``seed`` for
+    ``master_seed``) and the fields below ``sweep``; a field with a default
+    is an optional key.
+    """
 
     sweep: experiments.RateSweepConfig
-    aggregate: str
-    burn_in: int
     records_path: str
     report_path: str
+    aggregate: str = "median"
+    burn_in: int = experiments.DEFAULT_BURN_IN
+
+    def __post_init__(self) -> None:
+        _checks.aggregation(self.aggregate, self.burn_in)
+
+
+def _config_schema() -> dict[str, tuple[type, str, object, bool]]:
+    """Config key -> (dataclass, field name, type, required) for every key."""
+    schema = {}
+    for cls in (experiments.RateSweepConfig, RunConfig):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if field.name != "sweep":
+                key = "seed" if field.name == "master_seed" else field.name
+                required = field.default is dataclasses.MISSING
+                schema[key] = (cls, field.name, hints[field.name], required)
+    return schema
+
+
+def _parse_value(text: str, kind):
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(part) for part in text.split(",") if part.strip())
+    return kind(text)
 
 
 def load_config(path: str) -> RunConfig:
@@ -69,6 +74,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
 
+    schema = _config_schema()
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -78,61 +84,36 @@ def load_config(path: str) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_SPEC:
+        if key not in schema:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in raw:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         raw[key] = value.strip()
 
-    values: dict[str, object] = dict(_CONFIG_DEFAULTS)
-    for key, (parser, required) in _CONFIG_SPEC.items():
+    # Keyword arguments of each dataclass; an absent optional key keeps its default.
+    values: dict[type, dict[str, object]] = {experiments.RateSweepConfig: {}, RunConfig: {}}
+    for key, (cls, name, kind, required) in schema.items():
         if key not in raw:
             if required:
                 raise ValueError(f"{path}: missing required config key {key!r}")
             continue
-        text_value = raw[key]
         try:
-            if parser == "int_list":
-                values[key] = tuple(int(part) for part in text_value.split(",") if part.strip())
-            else:
-                values[key] = parser(text_value)
+            values[cls][name] = _parse_value(raw[key], kind)
         except ValueError as exc:
-            raise ValueError(f"{path}: invalid value for {key!r}: {text_value!r}") from exc
+            raise ValueError(f"{path}: invalid value for {key!r}: {raw[key]!r}") from exc
 
     env_seed = os.environ.get("EFFDIM_SEED")
     if env_seed is not None:
         try:
-            values["seed"] = int(env_seed)
+            values[experiments.RateSweepConfig]["master_seed"] = int(env_seed)
         except ValueError as exc:
             raise ValueError(f"EFFDIM_SEED must be an integer, got {env_seed!r}") from exc
 
-    if values["aggregate"] not in ("median", "mean"):
-        raise ValueError(f"aggregate must be 'median' or 'mean', got {values['aggregate']!r}")
-    if int(values["burn_in"]) < 0:
-        raise ValueError("burn_in must be nonnegative")
-
     try:
-        sweep = experiments.RateSweepConfig(
-            b=values["b"],
-            c=values["c"],
-            beta=values["beta"],
-            sigma=values["sigma"],
-            ell_grid=values["ell_grid"],
-            repetitions=values["repetitions"],
-            master_seed=values["seed"],
-            n_modes=values["n_modes"],
-            delta=values["delta"],
-        )
+        sweep = experiments.RateSweepConfig(**values[experiments.RateSweepConfig])
+        return RunConfig(sweep=sweep, **values[RunConfig])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-    return RunConfig(
-        sweep=sweep,
-        aggregate=str(values["aggregate"]),
-        burn_in=int(values["burn_in"]),
-        records_path=str(values["records_path"]),
-        report_path=str(values["report_path"]),
-    )
 
 
 def _fmt(value: float) -> str:
@@ -169,8 +150,7 @@ def _cmd_effdim(args) -> int:
 
 
 def _cmd_bounds_figure(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    _checks.at_least_one("--points", args.points)
     if not 0 < args.lambda_min <= args.lambda_max:
         raise ValueError("need 0 < --lambda-min <= --lambda-max")
     grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)

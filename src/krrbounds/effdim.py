@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
+from . import _checks
 from .spectral import Spectrum, polynomial_spectrum, q_constant
 
 __all__ = [
@@ -82,23 +83,6 @@ class BoundComparisonRow:
     truncation_error_bound: float
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _check_finite_b(b: float) -> None:
-    if not b > 1:
-        raise ValueError(f"spectral decay exponent b must be > 1, got {b}")
-    if not math.isfinite(b):
-        raise ValueError("b must be finite here; the b = inf case reduces to beta itself")
-
-
-def _check_decay_args(beta: float, b: float) -> None:
-    _check_positive("beta", beta)
-    _check_finite_b(b)
-
-
 def _decay_fraction(beta: float, b: float, lam: float, n) -> np.ndarray:
     """f(n) = beta / (beta + lambda * n**b); overflow of n**b safely yields 0."""
     with np.errstate(over="ignore"):
@@ -155,8 +139,8 @@ def effective_dimension_exact(
     pinned between integral bounds until the enclosure is narrower than
     ``tol``, so the true value lies in [value, value + tol].
     """
-    _check_positive("lambda", lam)
-    _check_positive("tol", tol)
+    _checks.positive("lambda", lam)
+    _checks.positive("tol", tol)
     if spectrum.decay_model is None:
         t = spectrum.eigenvalues
         return EffDimResult(float(np.sum(t / (t + lam))), 0.0, int(t.size))
@@ -192,8 +176,8 @@ def corrected_bound(beta: float, b: float, lam: float) -> float:
     hence exceeds the eigenvalue sum by at most 1.  Finite b only; for
     b = inf the coefficient degenerates to beta with no lambda dependence.
     """
-    _check_finite_b(b)
-    _check_positive("lambda", lam)
+    _checks.decay_exponent(b, finite=True)
+    _checks.positive("lambda", lam)
     return q_constant(beta, b) * lam ** (-1.0 / b)
 
 
@@ -204,20 +188,21 @@ def claimed_bound(beta: float, b: float, lam: float) -> float:
     every beta under ``wrong_inequality_threshold(b)``.  Provided solely for
     comparison tables and plots.
     """
-    _check_decay_args(beta, b)
-    _check_positive("lambda", lam)
+    _checks.positive("beta", beta)
+    _checks.decay_exponent(b, finite=True)
+    _checks.positive("lambda", lam)
     return beta * b / (b - 1.0) * lam ** (-1.0 / b)
 
 
 def integral_value(beta: float, b: float) -> float:
     """Closed form beta**((1-b)/b) * (pi/b)/sin(pi/b) of int_0^inf dt/(beta + t**b)."""
-    _check_decay_args(beta, b)
+    _checks.positive("beta", beta)
+    _checks.decay_exponent(b, finite=True)
     return beta ** ((1.0 - b) / b) * (math.pi / b) / math.sin(math.pi / b)
 
 
 def wrong_inequality_gap(beta: float, b: float) -> float:
     """integral_value(beta, b) - b/(b-1); positive means b/(b-1) is not an upper bound."""
-    _check_decay_args(beta, b)
     return integral_value(beta, b) - b / (b - 1.0)
 
 
@@ -227,27 +212,29 @@ def wrong_inequality_threshold(b: float) -> float:
     Below ((b-1)/b * (pi/b)/sin(pi/b))**(b/(b-1)) the integral exceeds
     b/(b-1); the gap tends to +inf as beta -> 0.
     """
-    _check_finite_b(b)
+    _checks.decay_exponent(b, finite=True)
     base = (b - 1.0) / b * (math.pi / b) / math.sin(math.pi / b)
     return base ** (b / (b - 1.0))
 
 
 def find_wrong_inequality_threshold(b: float) -> float:
-    """Sign-change beta located by bisection on the gap, independent of the closed form."""
-    _check_finite_b(b)
+    """Sign-change beta located by bisection on the gap, independent of the closed form.
+
+    The gap decreases in beta.  Bisection runs until the midpoint of the
+    bracket equals one of its ends, i.e. the ends are adjacent floats.
+    """
+    _checks.decay_exponent(b, finite=True)
     lo, hi = 1e-8, 1e8
     if not (wrong_inequality_gap(lo, b) > 0 > wrong_inequality_gap(hi, b)):
         raise RuntimeError(f"bisection bracket failed for b={b}")
-    return float(
-        optimize.bisect(
-            lambda beta: wrong_inequality_gap(beta, b),
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-            maxiter=200,
-        )
-    )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if wrong_inequality_gap(mid, b) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def bound_comparison_table(
@@ -257,9 +244,7 @@ def bound_comparison_table(
     tol: float = DEFAULT_TOL,
 ) -> list[BoundComparisonRow]:
     """One (lambda, exact, corrected, claimed) row per grid value."""
-    lams = [float(lam) for lam in lambda_grid]
-    if not lams:
-        raise ValueError("lambda_grid must be nonempty")
+    lams = _checks.lambda_grid(lambda_grid)
     # minimal stored prefix; the decay model drives the exact computation
     spectrum = polynomial_spectrum(beta, b, 1)
     rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import krr, rates, synth
+from . import _checks, krr, rates, synth
 from .effdim import corrected_bound, effective_dimension_exact
 from .spectral import polynomial_spectrum
 
@@ -65,26 +65,18 @@ class RateSweepConfig:
     delta: float = synth.DEFAULT_TAIL_MARGIN
 
     def __post_init__(self) -> None:
-        if not (self.b > 1 and math.isfinite(self.b)):
-            raise ValueError(f"b must be finite and > 1, got {self.b}")
-        if not 1.0 <= self.c <= 2.0:
-            raise ValueError(f"c must be in [1, 2], got {self.c}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        _checks.decay_exponent(self.b, finite=True)
+        _checks.source_degree(self.c)
+        _checks.positive("beta", self.beta)
+        _checks.nonnegative("sigma", self.sigma)
         if not self.ell_grid:
             raise ValueError("ell_grid must be nonempty")
-        if any(ell < 1 for ell in self.ell_grid):
-            raise ValueError("all ell values must be >= 1")
+        _checks.at_least_one("every ell in ell_grid", min(self.ell_grid))
         if list(self.ell_grid) != sorted(set(self.ell_grid)):
             raise ValueError("ell_grid must be strictly increasing")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _checks.at_least_one("repetitions", self.repetitions)
+        _checks.at_least_one("n_modes", self.n_modes)
+        _checks.positive("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -238,10 +230,7 @@ def compare_with_theory(
     burn_in: int = DEFAULT_BURN_IN,
 ) -> RateComparison:
     """Aggregate risks per ell, fit the power law, and report the slope gap."""
-    if aggregate not in ("median", "mean"):
-        raise ValueError(f"aggregate must be 'median' or 'mean', got {aggregate!r}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    _checks.aggregation(aggregate, burn_in)
     by_ell: dict[int, list[float]] = {}
     lam_by_ell: dict[int, float] = {}
     for record in records:
@@ -285,13 +274,9 @@ def effdim_convergence_experiment(
     Each repetition's eigensolve runs on an n_modes x n_modes matrix; see
     ``krr.empirical_effective_dimension_factored``.
     """
-    lams = [float(lam) for lam in lambda_grid]
-    if not lams:
-        raise ValueError("lambda_grid must be nonempty")
-    if any(lam <= 0 for lam in lams):
-        raise ValueError("all lambda values must be positive")
-    if ell < 1 or repetitions < 1:
-        raise ValueError("ell and repetitions must be >= 1")
+    lams = _checks.lambda_grid(lambda_grid)
+    _checks.at_least_one("ell", ell)
+    _checks.at_least_one("repetitions", repetitions)
     kernel = model.kernel()
     per_rep = np.empty((repetitions, len(lams)))
     for rep in range(repetitions):

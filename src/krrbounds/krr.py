@@ -20,6 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy import linalg
 
+from . import _checks
+
 __all__ = [
     "KernelFn",
     "FittedModel",
@@ -39,21 +41,23 @@ _RESIDUAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class KernelFn:
-    """A symmetric PSD kernel with a known diagonal bound.
+    """A symmetric PSD kernel.
 
     ``fn`` evaluates k(x, y) elementwise over broadcastable arrays.
     ``factored``, when present, is a (feature_map, weights) pair with
     k(x, y) = sum_m w_m phi_m(x) phi_m(y); Gram assembly then runs through
-    one BLAS product instead of the elementwise path.
+    one BLAS product instead of the elementwise path, and ``fn`` may be
+    left out: it is then built from the factored form.
     """
 
-    fn: Callable
-    sup_diag: float
+    fn: Callable | None = None
     factored: tuple[Callable, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if not self.sup_diag > 0:
-            raise ValueError(f"sup_diag must be positive, got {self.sup_diag}")
+        if self.fn is None:
+            if self.factored is None:
+                raise ValueError("kernel needs fn or a factored form (feature_map, weights)")
+            object.__setattr__(self, "fn", _factored_pointwise(*self.factored))
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -114,7 +118,7 @@ def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
         raise ValueError(f"K must be square, got shape {K.shape}")
     ell = K.shape[0]
     _check_targets(y, ell, lam)
-    if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(K).max()))):
+    if not np.abs(K - K.T).max() <= 1e-12 * max(1.0, float(np.abs(K).max())):
         raise ValueError("K must be symmetric")
     return _ridge_cholesky_solve(K, y, ell, lam)
 
@@ -176,7 +180,7 @@ def empirical_effective_dimension_profile(K: np.ndarray, lambdas) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
-    lams = _positive_lambdas(lambdas)
+    lams = _checks.lambda_grid(lambdas)
     return _effdim_from_eigenvalues(np.linalg.eigvalsh(K), K.shape[0], lams)
 
 
@@ -188,21 +192,14 @@ def empirical_effective_dimension_factored(kernel: KernelFn, xs, lambdas) -> np.
     and add nothing to the sum.  The feature map is evaluated once.
     """
     _, features, weights = _evaluate_features(kernel, xs)
-    lams = _positive_lambdas(lambdas)
+    lams = _checks.lambda_grid(lambdas)
     scaled = features * np.sqrt(weights)
     return _effdim_from_eigenvalues(np.linalg.eigvalsh(scaled.T @ scaled), len(features), lams)
 
 
-def _effdim_from_eigenvalues(eigenvalues: np.ndarray, ell: int, lams: np.ndarray) -> np.ndarray:
+def _effdim_from_eigenvalues(eigenvalues: np.ndarray, ell: int, lams: list[float]) -> np.ndarray:
     mu = np.clip(eigenvalues / ell, 0.0, None)
     return np.array([float(np.sum(mu / (mu + lam))) for lam in lams])
-
-
-def _positive_lambdas(lambdas) -> np.ndarray:
-    lams = np.asarray(list(lambdas), dtype=float)
-    if np.any(lams <= 0):
-        raise ValueError("all lambda values must be positive")
-    return lams
 
 
 def _as_inputs(xs) -> np.ndarray:
@@ -221,6 +218,17 @@ def _evaluate_features(kernel: KernelFn, xs) -> tuple[np.ndarray, np.ndarray, np
     return xs, feature_map(xs), weights
 
 
+def _factored_pointwise(feature_map: Callable, weights: np.ndarray) -> Callable:
+    """k(x, y) = sum_m w_m phi_m(x) phi_m(y), elementwise over broadcastable x and y."""
+
+    def fn(x, y):
+        bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        values = np.einsum("im,m,im->i", feature_map(bx.ravel()), weights, feature_map(by.ravel()))
+        return values.reshape(bx.shape) if bx.shape else float(values[0])
+
+    return fn
+
+
 def _mirror_upper(k: np.ndarray) -> np.ndarray:
     return np.triu(k) + np.triu(k, 1).T
 
@@ -228,8 +236,7 @@ def _mirror_upper(k: np.ndarray) -> np.ndarray:
 def _check_targets(y: np.ndarray, ell: int, lam: float) -> None:
     if y.shape != (ell,):
         raise ValueError(f"y must have shape ({ell},), got {y.shape}")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _checks.positive("lambda", lam)
 
 
 def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _checks
 from .spectral import PriorParams, q_constant
 
 __all__ = [
@@ -62,16 +63,6 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 6), got {eta}")
 
 
-def _check_c(c: float) -> None:
-    if not 1.0 <= c <= 2.0:
-        raise ValueError(f"source degree c must be in [1, 2], got {c}")
-
-
-def _check_b(b: float) -> None:
-    if not b > 1:
-        raise ValueError(f"spectral decay exponent b must be > 1, got {b}")
-
-
 def c_eta(eta: float) -> float:
     """Confidence constant 96 * log(6/eta)**2."""
     _check_eta(eta)
@@ -84,8 +75,7 @@ def min_ell_for_condition(params: PriorParams, lam: float, eta: float) -> float:
     Returns 2 C_eta kappa Q lambda**(-(b+1)/b); callers round up to an
     integer.  For b = inf the exponent degenerates to -1.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _checks.positive("lambda", lam)
     _check_eta(eta)
     q = q_constant(params.beta, params.b)
     inv_b = 0.0 if math.isinf(params.b) else 1.0 / params.b
@@ -98,10 +88,8 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     Invalid side conditions are reported through the flags, never as
     errors, so the bound surface can be plotted wherever it is finite.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not ell >= 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    _checks.positive("lambda", lam)
+    _checks.at_least_one("ell", ell)
     _check_eta(eta)
     b, c = params.b, params.c
     inv_b = 0.0 if math.isinf(b) else 1.0 / b
@@ -134,15 +122,14 @@ def lambda_schedule(b: float, c: float, ell: float) -> float:
     c > 1:  ell**(-b/(bc+1));   c = 1:  (log(ell)/ell)**(b/(b+1)).
     Real-valued ell is accepted so the algebra can be checked exactly.
     """
-    _check_b(b)
-    _check_c(c)
+    _checks.decay_exponent(b)
+    _checks.source_degree(c)
     if c == 1.0:
         if not ell >= 2:
             raise ValueError(f"c = 1 schedule needs ell >= 2, got {ell}")
         expo = 1.0 if math.isinf(b) else b / (b + 1.0)
         return (math.log(ell) / ell) ** expo
-    if not ell >= 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    _checks.at_least_one("ell", ell)
     expo = 1.0 / c if math.isinf(b) else b / (b * c + 1.0)
     return ell**-expo
 
@@ -156,7 +143,7 @@ def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> 
     _check_eta(eta)
     if c is None:
         c = params.c
-    _check_c(c)
+    _checks.source_degree(c)
     base = 2.0 * c_eta(eta) * params.kappa * q_constant(params.beta, params.b)
     if c == 1.0:
         return math.exp(base) if base <= _EXP_OVERFLOW else math.inf
@@ -168,8 +155,8 @@ def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> 
 
 def rate_exponent(b: float, c: float) -> float:
     """Excess-risk rate exponent bc/(bc+1) (equal to b/(b+1) at c = 1)."""
-    _check_b(b)
-    _check_c(c)
+    _checks.decay_exponent(b)
+    _checks.source_degree(c)
     if math.isinf(b):
         return 1.0
     return b * c / (b * c + 1.0)
@@ -181,10 +168,8 @@ def dominance_margins(b: float, c: float) -> tuple[float, float, float]:
     Returns (3bc-2b+2-bc, 2bc-b+1-bc, 2bc-b+2-bc); all three are positive
     for every b > 1, c >= 1, which is what makes the leading terms dominate.
     """
-    _check_b(b)
-    _check_c(c)
-    if not math.isfinite(b):
-        raise ValueError("dominance margins are defined for finite b")
+    _checks.decay_exponent(b, finite=True)
+    _checks.source_degree(c)
     return (
         2.0 * b * c - 2.0 * b + 2.0,
         b * c - b + 1.0,
@@ -199,8 +184,6 @@ def eta_tau(tau: float, d_const: float) -> float:
     problem-dependent constant in front of the rate and must be supplied
     by the caller.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not d_const > 0:
-        raise ValueError(f"d_const must be positive, got {d_const}")
+    _checks.positive("tau", tau)
+    _checks.positive("d_const", d_const)
     return 6.0 * math.exp(-math.sqrt(tau / (2.0 * CONFIDENCE_COEFF * d_const)))

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["PriorParams", "Spectrum", "polynomial_spectrum", "q_constant"]
-
-
-def _check_decay(beta: float, b: float) -> None:
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not b > 1:
-        raise ValueError(f"spectral decay exponent b must be > 1, got {b}")
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,8 @@ class Spectrum:
             raise ValueError("eigenvalues must be nonincreasing")
         if self.decay_model is not None:
             beta, b = self.decay_model
-            _check_decay(beta, b)
-            if not math.isfinite(b):
-                raise ValueError("decay_model requires finite b")
+            _checks.positive("beta", beta)
+            _checks.decay_exponent(b, finite=True)
             n = np.arange(1, eig.size + 1, dtype=float)
             if not np.allclose(eig, beta * n**-b, rtol=1e-14, atol=0.0):
                 raise ValueError("eigenvalues deviate from beta * n**-b decay model")
@@ -91,23 +85,17 @@ class PriorParams:
     Sigma: float
 
     def __post_init__(self) -> None:
-        if not self.b > 1:
-            raise ValueError(f"b must be > 1 (math.inf allowed), got {self.b}")
-        if not 1.0 <= self.c <= 2.0:
-            raise ValueError(f"c must be in [1, 2], got {self.c}")
+        _checks.decay_exponent(self.b)
+        _checks.source_degree(self.c)
         for name in ("beta", "alpha", "R", "kappa", "M", "Sigma"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _checks.positive(name, getattr(self, name))
 
 
 def polynomial_spectrum(beta: float, b: float, n_max: int) -> Spectrum:
     """First ``n_max`` eigenvalues t_n = beta * n**-b, with the decay model attached."""
-    _check_decay(beta, b)
-    if not math.isfinite(b):
-        raise ValueError("polynomial_spectrum requires finite b")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _checks.positive("beta", beta)
+    _checks.decay_exponent(b, finite=True)
+    _checks.at_least_one("n_max", n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     return Spectrum(beta * n**-b, decay_model=(float(beta), float(b)))
 
@@ -118,7 +106,8 @@ def q_constant(beta: float, b: float) -> float:
     Finite b uses beta**(1/b) * (pi/b) / sin(pi/b); b = math.inf returns
     beta itself (and the bound exponent degenerates to lambda**0).
     """
-    _check_decay(beta, b)
+    _checks.positive("beta", beta)
+    _checks.decay_exponent(b)
     if math.isinf(b):
         return float(beta)
     return beta ** (1.0 / b) * (math.pi / b) / math.sin(math.pi / b)

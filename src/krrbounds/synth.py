@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import _checks
 from .krr import FittedModel, KernelFn
 
 __all__ = [
@@ -58,23 +59,7 @@ class SpectralKernelModel:
         return math.sqrt(2.0) * np.cos(math.pi * np.outer(xs, n))
 
     def kernel(self) -> KernelFn:
-        def pairwise(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            bx, by = np.broadcast_arrays(x, y)
-            values = np.einsum(
-                "im,m,im->i",
-                self.basis(bx.ravel()),
-                self.eigenvalues,
-                self.basis(by.ravel()),
-            )
-            return values.reshape(bx.shape) if bx.shape else float(values[0])
-
-        return KernelFn(
-            fn=pairwise,
-            sup_diag=self.kappa**2,
-            factored=(self.basis, self.eigenvalues),
-        )
+        return KernelFn(factored=(self.basis, self.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -106,12 +91,9 @@ class Dataset:
 
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
     """Spectral model with eigenvalues beta * n**-b for n = 1..n_modes."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not (b > 1 and math.isfinite(b)):
-        raise ValueError(f"b must be finite and > 1 for a bounded kernel, got {b}")
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    _checks.positive("beta", beta)
+    _checks.decay_exponent(b, finite=True)
+    _checks.at_least_one("n_modes", n_modes)
     n = np.arange(1, n_modes + 1, dtype=float)
     eigenvalues = beta * n**-b
     eigenvalues.setflags(write=False)
@@ -136,12 +118,9 @@ def make_target(
     class boundary.  Random signs (from ``seed``) keep the target from
     aligning with a single mode.
     """
-    if not 1.0 <= c <= 2.0:
-        raise ValueError(f"source degree c must be in [1, 2], got {c}")
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _checks.source_degree(c)
+    _checks.positive("R", R)
+    _checks.positive("delta", delta)
     n = np.arange(1, model.n_modes + 1, dtype=float)
     tail_weights = n ** -(1.0 + delta)
     scale = math.sqrt(R / float(np.sum(tail_weights)))
@@ -172,10 +151,8 @@ def sample_dataset(
     for distinct seeds independent and reproducible in any order.
     """
     _check_same_modes(model, target)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    _checks.nonnegative("sigma", sigma)
+    _checks.at_least_one("ell", ell)
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(0.0, 1.0, size=ell)
     bound = sigma * math.sqrt(3.0)

@@ -1,0 +1,160 @@
+"""The shared parameter rules, as every public entry point applies them."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from krrbounds import effdim, experiments, krr, rates, spectral, synth
+
+MODEL = synth.build_model(1.0, 2.0, 8)
+TARGET = synth.make_target(MODEL, 1.5, R=1.0)
+XS = np.linspace(0.1, 0.9, 4)
+SPECTRUM = spectral.polynomial_spectrum(1.0, 2.0, 1)
+
+
+def prior(**overrides):
+    values = dict(b=2.0, c=1.5, beta=1.0, alpha=1.0, R=1.0, kappa=1.0, M=1.0, Sigma=1.0)
+    values.update(overrides)
+    return spectral.PriorParams(**values)
+
+
+def sweep_config(**overrides):
+    values = dict(
+        b=2.0, c=2.0, beta=1.0, sigma=0.1, ell_grid=(4, 8), repetitions=1, master_seed=0,
+        n_modes=8, delta=0.1,
+    )
+    values.update(overrides)
+    return experiments.RateSweepConfig(**values)
+
+
+def convergence(lambda_grid=(0.1,), ell=4, repetitions=1):
+    return experiments.effdim_convergence_experiment(MODEL, lambda_grid, ell, repetitions, 0)
+
+
+B_GT_1 = "b must be > 1"
+FINITE = "b must be finite"
+C_RANGE = "c must be in [1, 2]"
+AT_LEAST_ONE = "must be >= 1"
+EMPTY_GRID = "lambda_grid must be nonempty"
+
+# (call, message fragment); each row calls one public entry point of one module.
+CASES = {
+    # b <= 1
+    "spectral.polynomial_spectrum b": (lambda: spectral.polynomial_spectrum(1.0, 1.0, 4), B_GT_1),
+    "spectral.q_constant b": (lambda: spectral.q_constant(1.0, 0.5), B_GT_1),
+    "spectral.PriorParams b": (lambda: prior(b=1.0), B_GT_1),
+    "effdim.corrected_bound b": (lambda: effdim.corrected_bound(1.0, 1.0, 0.1), B_GT_1),
+    "effdim.wrong_inequality_gap b": (lambda: effdim.wrong_inequality_gap(1.0, 1.0), B_GT_1),
+    "rates.lambda_schedule b": (lambda: rates.lambda_schedule(1.0, 1.5, 10), B_GT_1),
+    "rates.rate_exponent b": (lambda: rates.rate_exponent(-2.0, 1.5), B_GT_1),
+    "synth.build_model b": (lambda: synth.build_model(1.0, 1.0, 8), B_GT_1),
+    "experiments.RateSweepConfig b": (lambda: sweep_config(b=1.0), B_GT_1),
+    "spectral.q_constant b nan": (lambda: spectral.q_constant(1.0, math.nan), B_GT_1),
+    # b = inf where a finite b is required
+    "spectral.polynomial_spectrum inf": (
+        lambda: spectral.polynomial_spectrum(1.0, math.inf, 4), FINITE),
+    "effdim.claimed_bound inf": (lambda: effdim.claimed_bound(1.0, math.inf, 0.1), FINITE),
+    "effdim.integral_value inf": (lambda: effdim.integral_value(1.0, math.inf), FINITE),
+    "effdim.wrong_inequality_threshold inf": (
+        lambda: effdim.wrong_inequality_threshold(math.inf), FINITE),
+    "effdim.find_wrong_inequality_threshold inf": (
+        lambda: effdim.find_wrong_inequality_threshold(math.inf), FINITE),
+    "rates.dominance_margins inf": (lambda: rates.dominance_margins(math.inf, 1.5), FINITE),
+    "synth.build_model inf": (lambda: synth.build_model(1.0, math.inf, 8), FINITE),
+    "experiments.RateSweepConfig inf": (lambda: sweep_config(b=math.inf), FINITE),
+    # c outside [1, 2]
+    "spectral.PriorParams c": (lambda: prior(c=0.5), C_RANGE),
+    "rates.lambda_schedule c": (lambda: rates.lambda_schedule(2.0, 2.5, 10), C_RANGE),
+    "rates.min_sample_size c": (lambda: rates.min_sample_size(prior(), 0.05, c=3.0), C_RANGE),
+    "rates.dominance_margins c": (lambda: rates.dominance_margins(2.0, 0.9), C_RANGE),
+    "synth.make_target c": (lambda: synth.make_target(MODEL, 2.5, R=1.0), C_RANGE),
+    "experiments.RateSweepConfig c": (lambda: sweep_config(c=3.0), C_RANGE),
+    # beta <= 0
+    "spectral.polynomial_spectrum beta": (
+        lambda: spectral.polynomial_spectrum(0.0, 2.0, 4), "beta must be positive"),
+    "spectral.PriorParams beta": (lambda: prior(beta=-1.0), "beta must be positive"),
+    "effdim.claimed_bound beta": (
+        lambda: effdim.claimed_bound(0.0, 2.0, 0.1), "beta must be positive"),
+    "synth.build_model beta": (lambda: synth.build_model(0.0, 2.0, 8), "beta must be positive"),
+    "experiments.RateSweepConfig beta": (lambda: sweep_config(beta=0.0), "beta must be positive"),
+    # lambda <= 0
+    "effdim.effective_dimension_exact lambda": (
+        lambda: effdim.effective_dimension_exact(SPECTRUM, 0.0), "lambda must be positive"),
+    "effdim.corrected_bound lambda": (
+        lambda: effdim.corrected_bound(1.0, 2.0, -1.0), "lambda must be positive"),
+    "rates.risk_bound lambda": (
+        lambda: rates.risk_bound(prior(), 0.0, 10, 0.05), "lambda must be positive"),
+    "rates.min_ell_for_condition lambda": (
+        lambda: rates.min_ell_for_condition(prior(), math.nan, 0.05), "lambda must be positive"),
+    "krr.krr_fit lambda": (
+        lambda: krr.krr_fit(np.eye(2), np.ones(2), 0.0), "lambda must be positive"),
+    "krr.krr_fit_factored lambda": (
+        lambda: krr.krr_fit_factored(MODEL.kernel(), XS, np.ones(4), 0.0),
+        "lambda must be positive"),
+    # R, delta, tol <= 0
+    "spectral.PriorParams R": (lambda: prior(R=0.0), "R must be positive"),
+    "synth.make_target R": (lambda: synth.make_target(MODEL, 1.5, R=0.0), "R must be positive"),
+    "synth.make_target delta": (
+        lambda: synth.make_target(MODEL, 1.5, R=1.0, delta=0.0), "delta must be positive"),
+    "experiments.RateSweepConfig delta": (
+        lambda: sweep_config(delta=-0.1), "delta must be positive"),
+    "effdim.effective_dimension_exact tol": (
+        lambda: effdim.effective_dimension_exact(SPECTRUM, 0.1, tol=0.0), "tol must be positive"),
+    "effdim.bound_comparison_table tol": (
+        lambda: effdim.bound_comparison_table(1.0, 2.0, [0.1], tol=-1.0), "tol must be positive"),
+    # sigma < 0
+    "synth.sample_dataset sigma": (
+        lambda: synth.sample_dataset(MODEL, TARGET, -0.1, 4, 0), "sigma must be nonnegative"),
+    "synth.sample_dataset sigma nan": (
+        lambda: synth.sample_dataset(MODEL, TARGET, math.nan, 4, 0), "sigma must be nonnegative"),
+    "experiments.RateSweepConfig sigma": (
+        lambda: sweep_config(sigma=-1.0), "sigma must be nonnegative"),
+    # ell, n_modes, repetitions < 1
+    "spectral.polynomial_spectrum n_max": (
+        lambda: spectral.polynomial_spectrum(1.0, 2.0, 0), AT_LEAST_ONE),
+    "rates.risk_bound ell": (lambda: rates.risk_bound(prior(), 0.1, 0.5, 0.05), AT_LEAST_ONE),
+    "rates.lambda_schedule ell": (lambda: rates.lambda_schedule(2.0, 1.5, 0), AT_LEAST_ONE),
+    "synth.build_model n_modes": (lambda: synth.build_model(1.0, 2.0, 0), AT_LEAST_ONE),
+    "synth.sample_dataset ell": (
+        lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 0, 0), AT_LEAST_ONE),
+    "experiments.RateSweepConfig ell_grid": (
+        lambda: sweep_config(ell_grid=(0, 4)), AT_LEAST_ONE),
+    "experiments.RateSweepConfig n_modes": (lambda: sweep_config(n_modes=0), AT_LEAST_ONE),
+    "experiments.RateSweepConfig repetitions": (
+        lambda: sweep_config(repetitions=0), AT_LEAST_ONE),
+    "experiments.effdim_convergence_experiment ell": (lambda: convergence(ell=0), AT_LEAST_ONE),
+    "experiments.effdim_convergence_experiment repetitions": (
+        lambda: convergence(repetitions=0), AT_LEAST_ONE),
+    # empty or nonpositive lambda grid
+    "effdim.bound_comparison_table empty": (
+        lambda: effdim.bound_comparison_table(1.0, 2.0, []), EMPTY_GRID),
+    "effdim.bound_comparison_table nonpositive": (
+        lambda: effdim.bound_comparison_table(1.0, 2.0, [0.1, 0.0]), "lambda"),
+    "krr.empirical_effective_dimension_profile empty": (
+        lambda: krr.empirical_effective_dimension_profile(np.eye(2), []), EMPTY_GRID),
+    "krr.empirical_effective_dimension_profile nonpositive": (
+        lambda: krr.empirical_effective_dimension_profile(np.eye(2), [0.1, -1.0]), "lambda"),
+    "krr.empirical_effective_dimension_factored empty": (
+        lambda: krr.empirical_effective_dimension_factored(MODEL.kernel(), XS, []), EMPTY_GRID),
+    "krr.empirical_effective_dimension nonpositive": (
+        lambda: krr.empirical_effective_dimension(np.eye(2), 0.0), "lambda"),
+    "experiments.effdim_convergence_experiment empty": (
+        lambda: convergence(lambda_grid=[]), EMPTY_GRID),
+    "experiments.effdim_convergence_experiment nonpositive": (
+        lambda: convergence(lambda_grid=[0.1, 0.0]), "lambda"),
+    # aggregation of a sweep
+    "experiments.compare_with_theory aggregate": (
+        lambda: experiments.compare_with_theory([], 2.0, 2.0, aggregate="max"), "aggregate"),
+    "experiments.compare_with_theory burn_in": (
+        lambda: experiments.compare_with_theory([], 2.0, 2.0, burn_in=-1),
+        "burn_in must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", CASES.values(), ids=CASES.keys())
+def test_out_of_range_argument_rejected(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+

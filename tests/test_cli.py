@@ -1,10 +1,15 @@
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from krrbounds.cli import load_config, main
+import krrbounds
+from krrbounds.cli import RunConfig, _config_schema, load_config, main
 from krrbounds.effdim import effective_dimension_exact
+from krrbounds.experiments import RateSweepConfig
 from krrbounds.spectral import polynomial_spectrum
 
 
@@ -190,6 +195,24 @@ class TestSimulateCommand:
         assert not (tmp_path / "records.txt").exists()
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("aggregate", "max", "aggregate must be 'median' or 'mean'"),
+            ("burn_in", -1, "burn_in must be nonnegative"),
+        ],
+    )
+    def test_bad_aggregation_exits_2_before_any_output(
+        self, capsys, tmp_path, monkeypatch, key, value, fragment
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "bad.cfg", **{key: value})
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert fragment in err
+        assert not (tmp_path / "records.txt").exists()
+        assert not (tmp_path / "report.csv").exists()
+
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         config = write_config(tmp_path / "run.cfg")
         monkeypatch.setenv("EFFDIM_SEED", "12345")
@@ -203,3 +226,78 @@ class TestSimulateCommand:
         path.write_text("beta = 1.0\nmystery = 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
+
+
+class TestConfigSchema:
+    def test_accepted_keys(self):
+        assert set(_config_schema()) == {
+            "beta", "b", "c", "sigma", "n_modes", "delta", "ell_grid", "repetitions", "seed",
+            "aggregate", "burn_in", "records_path", "report_path",
+        }
+
+    def test_optional_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EFFDIM_SEED", raising=False)
+        path = write_config(tmp_path / "run.cfg")
+        text = path.read_text(encoding="utf-8")
+        for key in ("n_modes", "delta", "aggregate", "burn_in"):
+            text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+        path.write_text(text, encoding="utf-8")
+        loaded = load_config(str(path))
+        assert loaded == RunConfig(
+            sweep=RateSweepConfig(
+                b=2.0, c=2.0, beta=1.0, sigma=0.1, ell_grid=(16, 32, 64), repetitions=2,
+                master_seed=7,
+            ),
+            records_path="records.txt",
+            report_path="report.csv",
+        )
+        assert (loaded.sweep.n_modes, loaded.sweep.delta) == (512, 0.1)
+        assert (loaded.aggregate, loaded.burn_in) == ("median", 2)
+        monkeypatch.setenv("EFFDIM_SEED", "99")
+        assert load_config(str(path)).sweep.master_seed == 99
+
+    def test_bundled_desk_config(self, monkeypatch):
+        monkeypatch.delenv("EFFDIM_SEED", raising=False)
+        path = Path(krrbounds.__file__).parent / "configs" / "desk_b2c2.cfg"
+        assert load_config(str(path)) == RunConfig(
+            sweep=RateSweepConfig(
+                b=2.0, c=2.0, beta=1.0, sigma=0.1, ell_grid=(64, 128, 256, 512, 1024, 2048),
+                repetitions=20, master_seed=2025, n_modes=512, delta=0.1,
+            ),
+            records_path="desk_b2c2_records.txt",
+            report_path="desk_b2c2_report.csv",
+            aggregate="median",
+            burn_in=2,
+        )
+
+    @pytest.mark.parametrize(
+        "key",
+        ["beta", "b", "c", "sigma", "ell_grid", "repetitions", "seed", "records_path",
+         "report_path"],
+    )
+    def test_missing_required_key(self, tmp_path, key):
+        path = write_config(tmp_path / "run.cfg")
+        text = re.sub(rf"(?m)^{key} = .*\n", "", path.read_text(encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"missing required config key '{key}'"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_modes", "many"), ("ell_grid", "16,x"), ("burn_in", "1.5"),
+                       ("beta", "one")],
+    )
+    def test_invalid_value(self, tmp_path, key, value):
+        path = write_config(tmp_path / "run.cfg", **{key: value})
+        with pytest.raises(ValueError, match=f"invalid value for '{key}'"):
+            load_config(str(path))
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(krrbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, krrbounds.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

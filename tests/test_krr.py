@@ -25,11 +25,11 @@ from krrbounds.synth import (
 
 
 def constant_kernel(value=1.0):
-    return KernelFn(fn=lambda x, y: np.full(np.broadcast(x, y).shape, value), sup_diag=value)
+    return KernelFn(fn=lambda x, y: np.full(np.broadcast(x, y).shape, value))
 
 
 def product_kernel():
-    return KernelFn(fn=lambda x, y: np.asarray(x) * np.asarray(y), sup_diag=1.0)
+    return KernelFn(fn=lambda x, y: np.asarray(x) * np.asarray(y))
 
 
 def random_psd(rng, n, scale=1.0):
@@ -54,7 +54,7 @@ class TestGramMatrix:
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         kernel = KernelFn(
-            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y))), sup_diag=1.0
+            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y)))
         )
         k = gram_matrix(kernel, rng.uniform(size=40))
         assert np.array_equal(k, k.T)
@@ -68,6 +68,18 @@ class TestGramMatrix:
         xs = np.random.default_rng(1).uniform(size=20)
         k = gram_matrix(model.kernel(), xs, features=model.basis(xs))
         np.testing.assert_array_equal(k, gram_matrix(model.kernel(), xs))
+
+    def test_kernel_needs_fn_or_factored_form(self):
+        with pytest.raises(ValueError, match="factored"):
+            KernelFn()
+
+    def test_fn_built_from_factored_form(self):
+        model = build_model(1.0, 2.0, 16)
+        kernel = KernelFn(factored=(model.basis, model.eigenvalues))
+        xs = np.random.default_rng(2).uniform(size=7)
+        np.testing.assert_allclose(
+            kernel(xs[:, None], xs[None, :]), gram_matrix(kernel, xs), rtol=1e-12, atol=1e-14
+        )
 
     def test_features_need_factored_kernel(self):
         with pytest.raises(ValueError, match="factored"):
@@ -110,7 +122,6 @@ class TestKrrFit:
         kernel = KernelFn(
             fn=lambda x, y: np.exp(-((np.asarray(x) - np.asarray(y)) ** 2) / 0.5)
             + 0.01 * (np.asarray(x) == np.asarray(y)),
-            sup_diag=1.01,
         )
         k = gram_matrix(kernel, xs)
         y = np.sin(3 * xs)
@@ -124,6 +135,10 @@ class TestKrrFit:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             krr_fit(np.eye(2), np.array([1.0, 1.0]), 0.0)
+
+    def test_rejects_nan_gram(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            krr_fit(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([1.0, 1.0]), 0.1)
 
 
 N_MODES = 32
@@ -204,7 +219,7 @@ class TestKrrPredict:
         xs = rng.uniform(size=9)
         alpha = rng.normal(size=9)
         kernel = KernelFn(
-            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y))), sup_diag=1.0
+            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y)))
         )
         queries = rng.uniform(size=4)
         got = krr_predict(kernel, xs, alpha, queries)
