@@ -18,7 +18,6 @@ from .experiments import (
     rate_sweep,
 )
 from .krr import (
-    FittedModel,
     KernelFn,
     empirical_effective_dimension,
     gram_matrix,

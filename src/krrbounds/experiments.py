@@ -143,14 +143,15 @@ class EffDimConvergenceResult:
 
 def cell_seed(master_seed: int, ell: int, repetition: int) -> int:
     """Stable per-cell seed: 63-bit digest of (master_seed, ell, repetition)."""
-    digest = hashlib.blake2b(
-        f"{master_seed}:{ell}:{repetition}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") >> 1
+    return _seed_digest(f"{master_seed}:{ell}:{repetition}")
 
 
 def _target_seed(master_seed: int) -> int:
-    digest = hashlib.blake2b(f"{master_seed}:target".encode(), digest_size=8).digest()
+    return _seed_digest(f"{master_seed}:target")
+
+
+def _seed_digest(key: str) -> int:
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
 
 
@@ -166,7 +167,7 @@ def run_cell(
     lam = rates.lambda_schedule(config.b, config.c, ell)
     dataset = synth.sample_dataset(model, target, config.sigma, ell, seed)
     coefficients = krr.krr_fit_factored(model.kernel(), dataset.xs, dataset.ys, lam)
-    risk = synth.coefficient_excess_risk(target, coefficients)
+    risk = synth.exact_excess_risk(target, coefficients)
     return RateExperimentRecord(
         ell=ell,
         repetition=repetition,

@@ -24,7 +24,6 @@ from . import _checks
 
 __all__ = [
     "KernelFn",
-    "FittedModel",
     "gram_matrix",
     "krr_fit",
     "krr_fit_factored",
@@ -63,29 +62,14 @@ class KernelFn:
         return self.fn(x, y)
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """Representer coefficients plus the data they were trained on."""
-
-    coefficients: np.ndarray
-    training_inputs: np.ndarray
-    lam: float
-    ell: int
-
-    def __post_init__(self) -> None:
-        coef = np.asarray(self.coefficients, dtype=float)
-        xs = np.asarray(self.training_inputs, dtype=float)
-        if coef.shape[0] != self.ell or xs.shape[0] != self.ell:
-            raise ValueError(
-                f"coefficients ({coef.shape[0]}) and training inputs ({xs.shape[0]}) "
-                f"must both have length ell = {self.ell}"
-            )
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "training_inputs", xs)
-
-
 def gram_matrix(kernel: KernelFn, xs, features=None) -> np.ndarray:
-    """K[i, j] = k(x_i, x_j), exactly symmetric (upper triangle mirrored).
+    """K[i, j] = k(x_i, x_j), exactly symmetric.
+
+    A factored kernel's K = A A^T is one product of A with its own
+    transpose, which numpy hands to BLAS syrk: one triangle is computed and
+    copied into the other, so K equals K^T bit for bit.  A pointwise ``fn``
+    may round k(x_i, x_j) and k(x_j, x_i) differently, so its upper triangle
+    is mirrored.
 
     For a factored kernel, ``features`` may carry feature_map(xs) when the
     caller has evaluated it already; it is then not evaluated again.
@@ -96,12 +80,11 @@ def gram_matrix(kernel: KernelFn, xs, features=None) -> np.ndarray:
         if features is None:
             features = feature_map(xs)
         scaled = features * np.sqrt(weights)
-        k = scaled @ scaled.T
-    elif features is not None:
+        return scaled @ scaled.T
+    if features is not None:
         raise ValueError("features can only be given for a factored kernel")
-    else:
-        k = np.asarray(kernel.fn(xs[:, None], xs[None, :]), dtype=float)
-    return _mirror_upper(k)
+    k = np.asarray(kernel.fn(xs[:, None], xs[None, :]), dtype=float)
+    return np.triu(k) + np.triu(k, 1).T
 
 
 def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
@@ -142,7 +125,7 @@ def krr_fit_factored(kernel: KernelFn, xs, y, lam: float) -> np.ndarray:
     if ell > n_features:
         sqrt_weights = np.sqrt(weights)
         scaled = features * sqrt_weights
-        z = _ridge_cholesky_solve(_mirror_upper(scaled.T @ scaled), scaled.T @ y, ell, lam)
+        z = _ridge_cholesky_solve(scaled.T @ scaled, scaled.T @ y, ell, lam)
         return sqrt_weights * z
     alpha = krr_fit(gram_matrix(kernel, xs, features=features), y, lam)
     return weights * (features.T @ alpha)
@@ -227,10 +210,6 @@ def _factored_pointwise(feature_map: Callable, weights: np.ndarray) -> Callable:
         return values.reshape(bx.shape) if bx.shape else float(values[0])
 
     return fn
-
-
-def _mirror_upper(k: np.ndarray) -> np.ndarray:
-    return np.triu(k) + np.triu(k, 1).T
 
 
 def _check_targets(y: np.ndarray, ell: int, lam: float) -> None:

@@ -35,6 +35,14 @@ CONFIDENCE_COEFF = 96.0
 
 _EXP_OVERFLOW = 709.0  # exp() beyond this overflows float64
 
+# min_sample_size (c > 1) adds this times expo * (1 + |log ell_eta|) to
+# log(ell_eta).  risk_bound evaluates the condition through powers whose
+# rounding grows with both factors; with no margin, about 3% of random
+# thresholds below 1e15 fell short at ceil(ell_eta).  In 4e5 random draws
+# (b in (1, 10], c in (1, 2]) a margin of 1 eps still missed 16 times and
+# 1.5 eps never; 4 eps leaves a factor above 2.
+_THRESHOLD_ROUNDING = 4.0 * 2.0**-52
+
 
 @dataclass(frozen=True)
 class BoundBreakdown:
@@ -78,7 +86,7 @@ def min_ell_for_condition(params: PriorParams, lam: float, eta: float) -> float:
     _checks.positive("lambda", lam)
     _check_eta(eta)
     q = q_constant(params.beta, params.b)
-    inv_b = 0.0 if math.isinf(params.b) else 1.0 / params.b
+    inv_b = 1.0 / params.b
     return 2.0 * c_eta(eta) * params.kappa * q * lam ** -(1.0 + inv_b)
 
 
@@ -92,7 +100,7 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     _checks.at_least_one("ell", ell)
     _check_eta(eta)
     b, c = params.b, params.c
-    inv_b = 0.0 if math.isinf(b) else 1.0 / b
+    inv_b = 1.0 / b
     q = q_constant(params.beta, b)
     ce = c_eta(eta)
 
@@ -137,7 +145,10 @@ def lambda_schedule(b: float, c: float, ell: float) -> float:
 def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> float:
     """Threshold ell_eta past which the schedule satisfies the sample-size condition.
 
-    c > 1: (2 C_eta kappa Q)**((bc+1)/(b(c-1)));  c = 1: exp(2 C_eta kappa Q).
+    c > 1: (2 C_eta kappa Q)**expo with expo = (bc+1)/(b(c-1)), raised by
+    the relative rounding margin 4 eps expo (1 + |log ell_eta|) so that the
+    condition as ``risk_bound`` evaluates it holds from ceil(ell_eta) on;
+    c = 1: exp(2 C_eta kappa Q).
     Returned as a real number; math.inf when it exceeds float64 range.
     """
     _check_eta(eta)
@@ -150,6 +161,7 @@ def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> 
     b = params.b
     expo = c / (c - 1.0) if math.isinf(b) else (b * c + 1.0) / (b * (c - 1.0))
     log_value = expo * math.log(base)
+    log_value += _THRESHOLD_ROUNDING * expo * (1.0 + abs(log_value))
     return math.exp(log_value) if log_value <= _EXP_OVERFLOW else math.inf
 
 

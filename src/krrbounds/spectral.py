@@ -57,9 +57,6 @@ class Spectrum:
         eig.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
 
-    def __len__(self) -> int:
-        return int(self.eigenvalues.size)
-
 
 @dataclass(frozen=True)
 class PriorParams:

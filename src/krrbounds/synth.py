@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import _checks
-from .krr import FittedModel, KernelFn
+from .krr import KernelFn
 
 __all__ = [
     "SpectralKernelModel",
@@ -32,7 +32,6 @@ __all__ = [
     "sample_dataset",
     "source_condition_value",
     "exact_excess_risk",
-    "coefficient_excess_risk",
 ]
 
 DEFAULT_TAIL_MARGIN = 0.1
@@ -80,13 +79,12 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs, noisy outputs, and the noise bounds they were drawn with."""
+    """Inputs, noisy outputs, and the hard noise bound M they were drawn with."""
 
     xs: np.ndarray
     ys: np.ndarray
     seed: int
     noise_bound: float
-    noise_std: float
 
 
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
@@ -160,33 +158,16 @@ def sample_dataset(
     ys = target.evaluate(model, xs) + noise
     xs.setflags(write=False)
     ys.setflags(write=False)
-    return Dataset(xs=xs, ys=ys, seed=int(seed), noise_bound=bound, noise_std=float(sigma))
+    return Dataset(xs=xs, ys=ys, seed=int(seed), noise_bound=bound)
 
 
-def exact_excess_risk(
-    model: SpectralKernelModel,
-    target: TargetFunction,
-    fitted: FittedModel,
-) -> float:
-    """Squared L2(uniform) distance between the fitted function and the target.
-
-    The fitted function has basis coefficients c_n = mu_n sum_i alpha_i
-    phi_n(x_i); see ``coefficient_excess_risk``.
-    """
-    _check_same_modes(model, target)
-    if fitted.training_inputs.shape[0] != fitted.coefficients.shape[0]:
-        raise ValueError("fitted model has mismatched coefficients and inputs")
-    fitted_coeffs = model.eigenvalues * (
-        model.basis(fitted.training_inputs).T @ fitted.coefficients
-    )
-    return coefficient_excess_risk(target, fitted_coeffs)
-
-
-def coefficient_excess_risk(target: TargetFunction, coefficients) -> float:
+def exact_excess_risk(target: TargetFunction, coefficients) -> float:
     """sum_n (c_n - theta_n)**2 for a function with basis coefficients c.
 
     By orthonormality of the basis this is the squared L2(uniform) distance
-    to the target, exact up to the model's own truncation.
+    to the target, exact up to the model's own truncation.  A ridge fit with
+    dual weights alpha on inputs xs has c_n = mu_n sum_i alpha_i phi_n(x_i),
+    which ``krr.krr_fit_factored`` returns directly.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != target.theta.shape:

@@ -5,7 +5,6 @@ import pytest
 from scipy import linalg
 
 from krrbounds.krr import (
-    FittedModel,
     KernelFn,
     empirical_effective_dimension,
     empirical_effective_dimension_factored,
@@ -17,7 +16,6 @@ from krrbounds.krr import (
 )
 from krrbounds.synth import (
     build_model,
-    coefficient_excess_risk,
     exact_excess_risk,
     make_target,
     sample_dataset,
@@ -160,12 +158,29 @@ class TestKrrFitFactored:
         model, target, data = factored_problem(b, ell)
         lam = 0.01
         alpha = krr_fit(gram_matrix(model.kernel(), data.xs), data.ys, lam)
-        fitted = FittedModel(coefficients=alpha, training_inputs=data.xs, lam=lam, ell=ell)
-        expected = exact_excess_risk(model, target, fitted)
+        dual_coefficients = model.eigenvalues * (model.basis(data.xs).T @ alpha)
+        expected = exact_excess_risk(target, dual_coefficients)
         coefficients = krr_fit_factored(model.kernel(), data.xs, data.ys, lam)
-        assert coefficient_excess_risk(target, coefficients) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert exact_excess_risk(target, coefficients) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("ell", [N_MODES // 2, N_MODES, 4 * N_MODES])
+    def test_gram_products_exactly_symmetric(self, ell, monkeypatch):
+        # neither Gram product is mirrored; BLAS must return it symmetric
+        model, _, data = factored_problem(2.0, ell)
+        k = gram_matrix(model.kernel(), data.xs)
+        assert np.array_equal(k, k.T)
+        factored = []
+        original = linalg.cho_factor
+
+        def capture(*args, **kwargs):
+            factored.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "cho_factor", capture)
+        krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+        (shifted,) = factored
+        assert shifted.shape == (min(ell, N_MODES),) * 2
+        assert np.array_equal(shifted, shifted.T)
 
     @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
     def test_jitter_retry_is_logged(self, ell, monkeypatch, caplog):
@@ -270,11 +285,3 @@ class TestEmpiricalEffectiveDimension:
         model, _, data = factored_problem(2.0, ell)
         with pytest.raises(ValueError, match="lambda"):
             empirical_effective_dimension_factored(model.kernel(), data.xs, [0.1, 0.0])
-
-
-class TestFittedModel:
-    def test_length_invariant(self):
-        with pytest.raises(ValueError, match="length"):
-            FittedModel(
-                coefficients=np.zeros(3), training_inputs=np.zeros(2), lam=0.1, ell=3
-            )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krrbounds.rates import (
@@ -214,6 +214,9 @@ class TestScheduleConditionCompatibility:
         eta=st.floats(0.05, 0.95),
         slack=st.integers(0, 1000),
     )
+    # without the rounding margin, ell_eta = 5359153028313.997 here while
+    # risk_bound required 5359153028314.008 at ceil(ell_eta)
+    @example(b=1.109375, c=1.8359375, kappa=1.0, beta=1.0, eta=0.75, slack=0)
     @settings(max_examples=150, deadline=None)
     def test_c_gt_one(self, b, c, kappa, beta, eta, slack):
         params = PriorParams(b=b, c=c, beta=beta, alpha=1.0, R=1.0,
@@ -224,6 +227,24 @@ class TestScheduleConditionCompatibility:
         ell = math.ceil(threshold) + slack
         bd = risk_bound(params, lambda_schedule(b, c, ell), ell, eta)
         assert bd.sample_size_ok
+
+    def test_c_gt_one_seeded_draws(self):
+        # about 3% of these thresholds fell short at ceil(ell_eta) without the margin
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(3000):
+            b, c = rng.uniform(1.05, 10.0), rng.uniform(1.2, 2.0)
+            kappa, beta, eta = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), rng.uniform(0.05, 0.95)
+            params = PriorParams(b=b, c=c, beta=beta, alpha=1.0, R=1.0,
+                                 kappa=kappa, M=1.0, Sigma=1.0)
+            threshold = min_sample_size(params, eta)
+            if threshold > 1e15:
+                continue
+            for ell in (math.ceil(threshold), math.ceil(threshold) + 1):
+                required = min_ell_for_condition(params, lambda_schedule(b, c, ell), eta)
+                assert ell >= required, (b, c, kappa, beta, eta, ell)
+            checked += 1
+        assert checked >= 1000
 
     @given(
         b=st.floats(1.5, 10.0),
