@@ -17,13 +17,7 @@ from .experiments import (
     fit_power_law,
     rate_sweep,
 )
-from .krr import (
-    KernelFn,
-    empirical_effective_dimension,
-    gram_matrix,
-    krr_fit,
-    krr_predict,
-)
+from .krr import empirical_effective_dimension_profile, gram_matrix, krr_fit
 from .rates import (
     BoundBreakdown,
     c_eta,

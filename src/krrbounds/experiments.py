@@ -166,7 +166,7 @@ def run_cell(
     seed = cell_seed(config.master_seed, ell, repetition)
     lam = rates.lambda_schedule(config.b, config.c, ell)
     dataset = synth.sample_dataset(model, target, config.sigma, ell, seed)
-    coefficients = krr.krr_fit_factored(model.kernel(), dataset.xs, dataset.ys, lam)
+    coefficients = krr.krr_fit_factored(dataset.features, model.eigenvalues, dataset.ys, lam)
     risk = synth.exact_excess_risk(target, coefficients)
     return RateExperimentRecord(
         ell=ell,
@@ -278,12 +278,13 @@ def effdim_convergence_experiment(
     lams = _checks.lambda_grid(lambda_grid)
     _checks.at_least_one("ell", ell)
     _checks.at_least_one("repetitions", repetitions)
-    kernel = model.kernel()
     per_rep = np.empty((repetitions, len(lams)))
     for rep in range(repetitions):
         rng = np.random.Generator(np.random.Philox(key=cell_seed(seed, ell, rep)))
         xs = rng.uniform(0.0, 1.0, size=ell)
-        per_rep[rep] = krr.empirical_effective_dimension_factored(kernel, xs, lams)
+        per_rep[rep] = krr.empirical_effective_dimension_factored(
+            model.basis(xs), model.eigenvalues, lams
+        )
     spectrum = polynomial_spectrum(model.beta, model.b, 1)
     rows = tuple(
         (

@@ -4,18 +4,18 @@ The regularized system is (K + ell * lambda * I) alpha = y, matching the
 operator normalization T ~ K/ell under which the effective dimension keeps
 its meaning; the lambda here is the same lambda the risk bound speaks about.
 
-A factored kernel K = A A^T, with A = Phi W^(1/2) for the ell x m feature
-matrix Phi and weights W, has rank at most m.  K and the m x m matrix A^T A
-share their nonzero eigenvalues and their trace, so the ridge fit is solved
-on whichever of the two is smaller, and the empirical effective dimension is
-read from the eigenvalues of A^T A.
+``krr_fit`` and ``empirical_effective_dimension_profile`` take any symmetric
+PSD kernel matrix K.  The other functions take a factored kernel as its
+ell x m feature matrix Phi, evaluated once by the caller, and its m weights
+W: K = A A^T with A = Phi W^(1/2).  K has rank at most m, and K and the
+m x m matrix A^T A share their nonzero eigenvalues and their trace, so the
+ridge fit is solved on whichever of the two is smaller, and the empirical
+effective dimension is read from the eigenvalues of A^T A.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import linalg
@@ -23,12 +23,9 @@ from scipy import linalg
 from . import _checks
 
 __all__ = [
-    "KernelFn",
     "gram_matrix",
     "krr_fit",
     "krr_fit_factored",
-    "krr_predict",
-    "empirical_effective_dimension",
     "empirical_effective_dimension_profile",
     "empirical_effective_dimension_factored",
 ]
@@ -38,53 +35,16 @@ logger = logging.getLogger(__name__)
 _RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KernelFn:
-    """A symmetric PSD kernel.
+def gram_matrix(features, weights) -> np.ndarray:
+    """K[i, j] = sum_m w_m phi_m(x_i) phi_m(x_j), exactly symmetric.
 
-    ``fn`` evaluates k(x, y) elementwise over broadcastable arrays.
-    ``factored``, when present, is a (feature_map, weights) pair with
-    k(x, y) = sum_m w_m phi_m(x) phi_m(y); Gram assembly then runs through
-    one BLAS product instead of the elementwise path, and ``fn`` may be
-    left out: it is then built from the factored form.
+    K = A A^T is one product of A with its own transpose, which numpy hands
+    to BLAS syrk: one triangle is computed and copied into the other, so K
+    equals K^T bit for bit.
     """
-
-    fn: Callable | None = None
-    factored: tuple[Callable, np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.fn is None:
-            if self.factored is None:
-                raise ValueError("kernel needs fn or a factored form (feature_map, weights)")
-            object.__setattr__(self, "fn", _factored_pointwise(*self.factored))
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
-
-
-def gram_matrix(kernel: KernelFn, xs, features=None) -> np.ndarray:
-    """K[i, j] = k(x_i, x_j), exactly symmetric.
-
-    A factored kernel's K = A A^T is one product of A with its own
-    transpose, which numpy hands to BLAS syrk: one triangle is computed and
-    copied into the other, so K equals K^T bit for bit.  A pointwise ``fn``
-    may round k(x_i, x_j) and k(x_j, x_i) differently, so its upper triangle
-    is mirrored.
-
-    For a factored kernel, ``features`` may carry feature_map(xs) when the
-    caller has evaluated it already; it is then not evaluated again.
-    """
-    xs = _as_inputs(xs)
-    if kernel.factored is not None:
-        feature_map, weights = kernel.factored
-        if features is None:
-            features = feature_map(xs)
-        scaled = features * np.sqrt(weights)
-        return scaled @ scaled.T
-    if features is not None:
-        raise ValueError("features can only be given for a factored kernel")
-    k = np.asarray(kernel.fn(xs[:, None], xs[None, :]), dtype=float)
-    return np.triu(k) + np.triu(k, 1).T
+    features, weights = _factors(features, weights)
+    scaled = features * np.sqrt(weights)
+    return scaled @ scaled.T
 
 
 def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
@@ -106,19 +66,18 @@ def krr_fit(K: np.ndarray, y, lam: float) -> np.ndarray:
     return _ridge_cholesky_solve(K, y, ell, lam)
 
 
-def krr_fit_factored(kernel: KernelFn, xs, y, lam: float) -> np.ndarray:
-    """Fitted basis coefficients c = W Phi^T alpha of the ridge fit on (xs, y).
+def krr_fit_factored(features, weights, y, lam: float) -> np.ndarray:
+    """Fitted basis coefficients c = W Phi^T alpha of the ridge fit on (Phi, y).
 
     alpha solves (K + ell * lambda * I) alpha = y for the factored kernel
     K = A A^T, A = Phi W^(1/2), and c holds the fitted function's weights on
-    the features.  The feature map is evaluated once.  For ell > m the
-    m x m primal system (A^T A + ell * lambda * I) z = A^T y is solved and
-    c = W^(1/2) z, by the push-through identity
-    A^T (A A^T + s I)^-1 = (A^T A + s I)^-1 A^T; otherwise the dual system
-    goes through ``gram_matrix`` and ``krr_fit``.  Both use the same
-    Cholesky solve, jitter retry and residual check.
+    the features.  For ell > m the m x m primal system
+    (A^T A + ell * lambda * I) z = A^T y is solved and c = W^(1/2) z, by the
+    push-through identity A^T (A A^T + s I)^-1 = (A^T A + s I)^-1 A^T;
+    otherwise the dual system goes through ``gram_matrix`` and ``krr_fit``.
+    Both use the same Cholesky solve, jitter retry and residual check.
     """
-    xs, features, weights = _evaluate_features(kernel, xs)
+    features, weights = _factors(features, weights)
     y = np.asarray(y, dtype=float)
     ell, n_features = features.shape
     _check_targets(y, ell, lam)
@@ -127,31 +86,8 @@ def krr_fit_factored(kernel: KernelFn, xs, y, lam: float) -> np.ndarray:
         scaled = features * sqrt_weights
         z = _ridge_cholesky_solve(scaled.T @ scaled, scaled.T @ y, ell, lam)
         return sqrt_weights * z
-    alpha = krr_fit(gram_matrix(kernel, xs, features=features), y, lam)
+    alpha = krr_fit(gram_matrix(features, weights), y, lam)
     return weights * (features.T @ alpha)
-
-
-def krr_predict(kernel: KernelFn, xs, alpha, x):
-    """sum_i alpha_i k(x_i, x); vectorized over query points."""
-    xs = np.asarray(xs, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if xs.shape != alpha.shape:
-        raise ValueError("xs and alpha must have matching shapes")
-    query = np.asarray(x, dtype=float)
-    scalar = query.ndim == 0
-    q = np.atleast_1d(query)
-    if kernel.factored is not None:
-        feature_map, weights = kernel.factored
-        coef = weights * (feature_map(xs).T @ alpha)
-        values = feature_map(q) @ coef
-    else:
-        values = np.asarray(kernel.fn(xs[:, None], q[None, :]), dtype=float).T @ alpha
-    return float(values[0]) if scalar else values
-
-
-def empirical_effective_dimension(K: np.ndarray, lam: float) -> float:
-    """Tr[(K/ell) ((K/ell) + lambda I)^{-1}] via eigendecomposition of K/ell."""
-    return float(empirical_effective_dimension_profile(K, [lam])[0])
 
 
 def empirical_effective_dimension_profile(K: np.ndarray, lambdas) -> np.ndarray:
@@ -167,14 +103,14 @@ def empirical_effective_dimension_profile(K: np.ndarray, lambdas) -> np.ndarray:
     return _effdim_from_eigenvalues(np.linalg.eigvalsh(K), K.shape[0], lams)
 
 
-def empirical_effective_dimension_factored(kernel: KernelFn, xs, lambdas) -> np.ndarray:
-    """``empirical_effective_dimension_profile`` of the Gram matrix at xs.
+def empirical_effective_dimension_factored(features, weights, lambdas) -> np.ndarray:
+    """``empirical_effective_dimension_profile`` of the Gram matrix Phi W Phi^T.
 
     The eigensolve runs on the m x m matrix A^T A, which has the nonzero
     eigenvalues of K = A A^T; the remaining eigenvalues of either are zero
-    and add nothing to the sum.  The feature map is evaluated once.
+    and add nothing to the sum.
     """
-    _, features, weights = _evaluate_features(kernel, xs)
+    features, weights = _factors(features, weights)
     lams = _checks.lambda_grid(lambdas)
     scaled = features * np.sqrt(weights)
     return _effdim_from_eigenvalues(np.linalg.eigvalsh(scaled.T @ scaled), len(features), lams)
@@ -185,31 +121,16 @@ def _effdim_from_eigenvalues(eigenvalues: np.ndarray, ell: int, lams: list[float
     return np.array([float(np.sum(mu / (mu + lam))) for lam in lams])
 
 
-def _as_inputs(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("xs must be a nonempty 1-d array of inputs")
-    return xs
-
-
-def _evaluate_features(kernel: KernelFn, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xs, feature_map(xs), weights) of a factored kernel."""
-    if kernel.factored is None:
-        raise ValueError("kernel has no factored form (feature_map, weights)")
-    xs = _as_inputs(xs)
-    feature_map, weights = kernel.factored
-    return xs, feature_map(xs), weights
-
-
-def _factored_pointwise(feature_map: Callable, weights: np.ndarray) -> Callable:
-    """k(x, y) = sum_m w_m phi_m(x) phi_m(y), elementwise over broadcastable x and y."""
-
-    def fn(x, y):
-        bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        values = np.einsum("im,m,im->i", feature_map(bx.ravel()), weights, feature_map(by.ravel()))
-        return values.reshape(bx.shape) if bx.shape else float(values[0])
-
-    return fn
+def _factors(features, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and W as float arrays: Phi 2-d with at least one row, one weight per column."""
+    features = np.asarray(features, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if features.ndim != 2 or len(features) == 0 or weights.shape != features.shape[1:]:
+        raise ValueError(
+            "features must be a 2-d array with at least one row and one weight per "
+            f"column, got features {features.shape} and weights {weights.shape}"
+        )
+    return features, weights
 
 
 def _check_targets(y: np.ndarray, ell: int, lam: float) -> None:

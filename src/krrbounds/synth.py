@@ -21,7 +21,6 @@ import numpy as np
 from scipy import special
 
 from . import _checks
-from .krr import KernelFn
 
 __all__ = [
     "SpectralKernelModel",
@@ -57,9 +56,6 @@ class SpectralKernelModel:
         n = np.arange(1, self.n_modes + 1, dtype=float)
         return math.sqrt(2.0) * np.cos(math.pi * np.outer(xs, n))
 
-    def kernel(self) -> KernelFn:
-        return KernelFn(factored=(self.basis, self.eigenvalues))
-
 
 @dataclass(frozen=True)
 class TargetFunction:
@@ -79,9 +75,16 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs, noisy outputs, and the hard noise bound M they were drawn with."""
+    """Inputs, their basis matrix, noisy outputs, and the hard noise bound M.
+
+    ``features`` is the model's basis evaluated at the inputs,
+    phi_n(x_i) of shape (len(xs), n_modes), from which ``ys`` was formed;
+    a fit reads it instead of evaluating the basis again.  All three arrays
+    are read-only.
+    """
 
     xs: np.ndarray
+    features: np.ndarray
     ys: np.ndarray
     seed: int
     noise_bound: float
@@ -155,10 +158,11 @@ def sample_dataset(
     xs = rng.uniform(0.0, 1.0, size=ell)
     bound = sigma * math.sqrt(3.0)
     noise = rng.uniform(-bound, bound, size=ell)
-    ys = target.evaluate(model, xs) + noise
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return Dataset(xs=xs, ys=ys, seed=int(seed), noise_bound=bound)
+    features = model.basis(xs)
+    ys = features @ target.theta + noise
+    for array in (xs, features, ys):
+        array.setflags(write=False)
+    return Dataset(xs=xs, features=features, ys=ys, seed=int(seed), noise_bound=bound)
 
 
 def exact_excess_risk(target: TargetFunction, coefficients) -> float:

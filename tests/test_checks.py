@@ -91,7 +91,7 @@ CASES = {
     "krr.krr_fit lambda": (
         lambda: krr.krr_fit(np.eye(2), np.ones(2), 0.0), "lambda must be positive"),
     "krr.krr_fit_factored lambda": (
-        lambda: krr.krr_fit_factored(MODEL.kernel(), XS, np.ones(4), 0.0),
+        lambda: krr.krr_fit_factored(MODEL.basis(XS), MODEL.eigenvalues, np.ones(4), 0.0),
         "lambda must be positive"),
     # R, delta, tol <= 0
     "spectral.PriorParams R": (lambda: prior(R=0.0), "R must be positive"),
@@ -137,9 +137,8 @@ CASES = {
     "krr.empirical_effective_dimension_profile nonpositive": (
         lambda: krr.empirical_effective_dimension_profile(np.eye(2), [0.1, -1.0]), "lambda"),
     "krr.empirical_effective_dimension_factored empty": (
-        lambda: krr.empirical_effective_dimension_factored(MODEL.kernel(), XS, []), EMPTY_GRID),
-    "krr.empirical_effective_dimension nonpositive": (
-        lambda: krr.empirical_effective_dimension(np.eye(2), 0.0), "lambda"),
+        lambda: krr.empirical_effective_dimension_factored(MODEL.basis(XS), MODEL.eigenvalues, []),
+        EMPTY_GRID),
     "experiments.effdim_convergence_experiment empty": (
         lambda: convergence(lambda_grid=[]), EMPTY_GRID),
     "experiments.effdim_convergence_experiment nonpositive": (

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,48 @@ class TestWrongInequality:
         for frac in (0.9, 0.5, 0.1):
             assert wrong_inequality_gap(frac * threshold, b) > 0
         assert wrong_inequality_gap(1.1 * threshold, b) < 0
+
+
+def mp_effdim_b2(beta, lam):
+    """N(lambda) at b = 2 in closed form: (pi a coth(pi a) - 1)/2, a = (beta/lambda)^(1/2).
+
+    sum_{n>=1} 1/(1 + s n^2) with s = lambda/beta, evaluated in mpmath at
+    the caller's working precision.
+    """
+    a = mpmath.sqrt(mpmath.mpf(beta) / mpmath.mpf(lam))
+    return (mpmath.pi * a * mpmath.coth(mpmath.pi * a) - 1) / 2
+
+
+def mp_wrong_inequality_gap(beta, b):
+    """integral_value(beta, b) - b/(b-1) in mpmath."""
+    beta, b = mpmath.mpf(beta), mpmath.mpf(b)
+    return beta ** ((1 - b) / b) * (mpmath.pi / b) / mpmath.sin(mpmath.pi / b) - b / (b - 1)
+
+
+class TestMpmathOracles:
+    """The paper's two claims at b = 2 and across b, against mpmath."""
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0])
+    def test_b2_enclosure_and_corrected_bound(self, beta, lam):
+        result = effective_dimension_exact(polynomial_spectrum(beta, 2.0, 1), lam)
+        with mpmath.workdps(40):
+            exact = mp_effdim_b2(beta, lam)
+            value = mpmath.mpf(result.value)
+            assert value <= exact <= value + mpmath.mpf(result.truncation_error_bound)
+            gap = mpmath.mpf(corrected_bound(beta, 2.0, lam)) - exact
+            assert 0 < gap < 1
+
+    @pytest.mark.parametrize("b", [1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0])
+    def test_threshold_matches_mpmath(self, b):
+        with mpmath.workdps(30):
+            mb = mpmath.mpf(b)
+            base = (mb - 1) / mb * (mpmath.pi / mb) / mpmath.sin(mpmath.pi / mb)
+            threshold = base ** (mb / (mb - 1))
+            for got in (find_wrong_inequality_threshold(b), wrong_inequality_threshold(b)):
+                assert abs(mpmath.mpf(got) / threshold - 1) <= 1e-11
+            assert mp_wrong_inequality_gap(threshold / 2, b) > 0
+            assert mp_wrong_inequality_gap(2 * threshold, b) < 0
 
 
 class TestBoundComparisonTable:

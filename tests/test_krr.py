@@ -5,14 +5,11 @@ import pytest
 from scipy import linalg
 
 from krrbounds.krr import (
-    KernelFn,
-    empirical_effective_dimension,
     empirical_effective_dimension_factored,
     empirical_effective_dimension_profile,
     gram_matrix,
     krr_fit,
     krr_fit_factored,
-    krr_predict,
 )
 from krrbounds.synth import (
     build_model,
@@ -22,66 +19,90 @@ from krrbounds.synth import (
 )
 
 
-def constant_kernel(value=1.0):
-    return KernelFn(fn=lambda x, y: np.full(np.broadcast(x, y).shape, value))
-
-
-def product_kernel():
-    return KernelFn(fn=lambda x, y: np.asarray(x) * np.asarray(y))
-
-
 def random_psd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     k = a @ a.T * scale / n
     return (k + k.T) / 2
 
 
+N_MODES = 32
+
+
+def factored_problem(b, ell, sigma=0.1):
+    model = build_model(1.0, b, N_MODES)
+    target = make_target(model, 1.5, R=1.0, seed=4)
+    data = sample_dataset(model, target, sigma=sigma, ell=ell, seed=ell)
+    return model, target, data
+
+
+def empirical_effective_dimension(k, lam):
+    return float(empirical_effective_dimension_profile(k, [lam])[0])
+
+
 class TestGramMatrix:
     def test_constant_kernel(self):
-        k = gram_matrix(constant_kernel(), [0.3, 0.7])
+        # one constant feature: k(x, y) = 1
+        k = gram_matrix(np.ones((2, 1)), [1.0])
         np.testing.assert_array_equal(k, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_product_kernel(self):
-        k = gram_matrix(product_kernel(), [1.0, 2.0])
+        # phi(x) = x: k(x, y) = x y
+        k = gram_matrix([[1.0], [2.0]], [1.0])
         np.testing.assert_array_equal(k, [[1.0, 2.0], [2.0, 4.0]])
 
-    def test_single_point(self):
-        k = gram_matrix(product_kernel(), [3.0])
-        np.testing.assert_array_equal(k, [[9.0]])
+    def test_matches_pointwise_sum(self):
+        # K[i, j] = sum_m mu_m phi_m(x_i) phi_m(x_j), summed term by term
+        model = build_model(1.0, 2.0, 16)
+        phi = model.basis(np.random.default_rng(2).uniform(size=7))
+        expected = np.einsum("im,m,jm->ij", phi, model.eigenvalues, phi)
+        np.testing.assert_allclose(
+            gram_matrix(phi, model.eigenvalues), expected, rtol=1e-12, atol=1e-14
+        )
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(0)
-        kernel = KernelFn(
-            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y)))
-        )
-        k = gram_matrix(kernel, rng.uniform(size=40))
+        k = gram_matrix(rng.normal(size=(40, 9)), rng.uniform(size=9))
         assert np.array_equal(k, k.T)
 
+    def test_single_point(self):
+        np.testing.assert_array_equal(gram_matrix([[3.0, 1.0]], [1.0, 4.0]), [[13.0]])
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gram_matrix(product_kernel(), [])
+        with pytest.raises(ValueError, match="at least one row"):
+            gram_matrix(np.ones((0, 2)), np.ones(2))
 
     def test_precomputed_features_match(self):
-        model = build_model(1.0, 2.0, 16)
-        xs = np.random.default_rng(1).uniform(size=20)
-        k = gram_matrix(model.kernel(), xs, features=model.basis(xs))
-        np.testing.assert_array_equal(k, gram_matrix(model.kernel(), xs))
-
-    def test_kernel_needs_fn_or_factored_form(self):
-        with pytest.raises(ValueError, match="factored"):
-            KernelFn()
-
-    def test_fn_built_from_factored_form(self):
-        model = build_model(1.0, 2.0, 16)
-        kernel = KernelFn(factored=(model.basis, model.eigenvalues))
-        xs = np.random.default_rng(2).uniform(size=7)
-        np.testing.assert_allclose(
-            kernel(xs[:, None], xs[None, :]), gram_matrix(kernel, xs), rtol=1e-12, atol=1e-14
+        # a dataset's features give the Gram matrix of its inputs, bit for bit
+        model, _, data = factored_problem(2.0, 20)
+        np.testing.assert_array_equal(
+            gram_matrix(data.features, model.eigenvalues),
+            gram_matrix(model.basis(data.xs), model.eigenvalues),
         )
 
-    def test_features_need_factored_kernel(self):
-        with pytest.raises(ValueError, match="factored"):
-            gram_matrix(product_kernel(), [1.0, 2.0], features=np.ones((2, 1)))
+
+FEATURES = np.ones((4, 3))
+SHAPE_MISMATCHES = {
+    "one weight short": (FEATURES, np.ones(2)),
+    "weights as a matrix": (FEATURES, np.ones((3, 1))),
+    "features 1-d": (np.ones(4), np.ones(4)),
+    "features 3-d": (np.ones((4, 3, 1)), np.ones(3)),
+    "no rows": (np.ones((0, 3)), np.ones(3)),
+}
+FACTORED_CALLS = {
+    "gram_matrix": lambda phi, w: gram_matrix(phi, w),
+    "krr_fit_factored": lambda phi, w: krr_fit_factored(phi, w, np.ones(4), 0.1),
+    "empirical_effective_dimension_factored": (
+        lambda phi, w: empirical_effective_dimension_factored(phi, w, [0.1])),
+}
+
+
+@pytest.mark.parametrize("call", FACTORED_CALLS.values(), ids=FACTORED_CALLS.keys())
+@pytest.mark.parametrize(
+    "features, weights", SHAPE_MISMATCHES.values(), ids=SHAPE_MISMATCHES.keys()
+)
+def test_factored_functions_reject_wrong_shapes(call, features, weights):
+    with pytest.raises(ValueError, match="features must be a 2-d array"):
+        call(features, weights)
 
 
 class TestKrrFit:
@@ -117,11 +138,7 @@ class TestKrrFit:
         # well-conditioned strictly PD instance: predictions approach y as lam -> 0
         rng = np.random.default_rng(5)
         xs = np.linspace(0.0, 1.0, 12) + rng.uniform(-0.01, 0.01, 12)
-        kernel = KernelFn(
-            fn=lambda x, y: np.exp(-((np.asarray(x) - np.asarray(y)) ** 2) / 0.5)
-            + 0.01 * (np.asarray(x) == np.asarray(y)),
-        )
-        k = gram_matrix(kernel, xs)
+        k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / 0.5) + 0.01 * np.eye(12)
         y = np.sin(3 * xs)
         alpha = krr_fit(k, y, 1e-12)
         np.testing.assert_allclose(k @ alpha, y, atol=1e-4)
@@ -139,16 +156,6 @@ class TestKrrFit:
             krr_fit(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([1.0, 1.0]), 0.1)
 
 
-N_MODES = 32
-
-
-def factored_problem(b, ell, sigma=0.1):
-    model = build_model(1.0, b, N_MODES)
-    target = make_target(model, 1.5, R=1.0, seed=4)
-    data = sample_dataset(model, target, sigma=sigma, ell=ell, seed=ell)
-    return model, target, data
-
-
 class TestKrrFitFactored:
     """Ridge fit in the smaller of the dual (ell) and primal (n_modes) spaces."""
 
@@ -157,17 +164,17 @@ class TestKrrFitFactored:
     def test_risk_matches_dual_gram_path(self, b, ell):
         model, target, data = factored_problem(b, ell)
         lam = 0.01
-        alpha = krr_fit(gram_matrix(model.kernel(), data.xs), data.ys, lam)
+        alpha = krr_fit(gram_matrix(model.basis(data.xs), model.eigenvalues), data.ys, lam)
         dual_coefficients = model.eigenvalues * (model.basis(data.xs).T @ alpha)
         expected = exact_excess_risk(target, dual_coefficients)
-        coefficients = krr_fit_factored(model.kernel(), data.xs, data.ys, lam)
+        coefficients = krr_fit_factored(data.features, model.eigenvalues, data.ys, lam)
         assert exact_excess_risk(target, coefficients) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [N_MODES // 2, N_MODES, 4 * N_MODES])
     def test_gram_products_exactly_symmetric(self, ell, monkeypatch):
         # neither Gram product is mirrored; BLAS must return it symmetric
         model, _, data = factored_problem(2.0, ell)
-        k = gram_matrix(model.kernel(), data.xs)
+        k = gram_matrix(data.features, model.eigenvalues)
         assert np.array_equal(k, k.T)
         factored = []
         original = linalg.cho_factor
@@ -177,7 +184,7 @@ class TestKrrFitFactored:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "cho_factor", capture)
-        krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+        krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.01)
         (shifted,) = factored
         assert shifted.shape == (min(ell, N_MODES),) * 2
         assert np.array_equal(shifted, shifted.T)
@@ -185,7 +192,7 @@ class TestKrrFitFactored:
     @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
     def test_jitter_retry_is_logged(self, ell, monkeypatch, caplog):
         model, _, data = factored_problem(2.0, ell)
-        expected = krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+        expected = krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.01)
         calls = []
         original = linalg.cho_factor
 
@@ -197,7 +204,7 @@ class TestKrrFitFactored:
 
         monkeypatch.setattr(linalg, "cho_factor", fail_once)
         with caplog.at_level(logging.WARNING, logger="krrbounds.krr"):
-            got = krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
+            got = krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.01)
         assert "jitter" in caplog.text
         assert calls == [(min(ell, N_MODES),) * 2] * 2
         np.testing.assert_allclose(got, expected, rtol=1e-9)
@@ -208,38 +215,13 @@ class TestKrrFitFactored:
         original = linalg.cho_solve
         monkeypatch.setattr(linalg, "cho_solve", lambda *a, **k: 2.0 * original(*a, **k))
         with pytest.raises(RuntimeError, match="residual"):
-            krr_fit_factored(model.kernel(), data.xs, data.ys, 0.01)
-
-    def test_rejects_kernel_without_factored_form(self):
-        with pytest.raises(ValueError, match="factored"):
-            krr_fit_factored(product_kernel(), [1.0, 2.0], [1.0, 1.0], 0.1)
+            krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.01)
 
     @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
     def test_rejects_nonpositive_lambda(self, ell):
         model, _, data = factored_problem(2.0, ell)
         with pytest.raises(ValueError, match="lambda"):
-            krr_fit_factored(model.kernel(), data.xs, data.ys, 0.0)
-
-
-class TestKrrPredict:
-    def test_zero_coefficients(self):
-        assert krr_predict(product_kernel(), [1.0, 2.0], [0.0, 0.0], 1.5) == 0.0
-
-    def test_single_point(self):
-        kernel = constant_kernel(3.0)
-        assert krr_predict(kernel, [0.5], [2.0], 0.9) == pytest.approx(6.0, rel=1e-15)
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(size=9)
-        alpha = rng.normal(size=9)
-        kernel = KernelFn(
-            fn=lambda x, y: np.exp(-np.abs(np.asarray(x) - np.asarray(y)))
-        )
-        queries = rng.uniform(size=4)
-        got = krr_predict(kernel, xs, alpha, queries)
-        want = [sum(a * np.exp(-abs(x - q)) for x, a in zip(xs, alpha)) for q in queries]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.0)
 
 
 class TestEmpiricalEffectiveDimension:
@@ -275,13 +257,13 @@ class TestEmpiricalEffectiveDimension:
     def test_factored_matches_gram_eigensolve(self, ell):
         model, _, data = factored_problem(2.0, ell)
         lams = [1e-4, 1e-2, 1.0]
-        gram = gram_matrix(model.kernel(), data.xs)
+        gram = gram_matrix(model.basis(data.xs), model.eigenvalues)
         expected = empirical_effective_dimension_profile(gram, lams)
-        got = empirical_effective_dimension_factored(model.kernel(), data.xs, lams)
+        got = empirical_effective_dimension_factored(data.features, model.eigenvalues, lams)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
     def test_factored_rejects_nonpositive_lambda(self, ell):
         model, _, data = factored_problem(2.0, ell)
         with pytest.raises(ValueError, match="lambda"):
-            empirical_effective_dimension_factored(model.kernel(), data.xs, [0.1, 0.0])
+            empirical_effective_dimension_factored(data.features, model.eigenvalues, [0.1, 0.0])

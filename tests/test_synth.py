@@ -19,19 +19,23 @@ def model():
     return build_model(1.0, 2.0, 64)
 
 
+def pointwise_kernel(m, x, y):
+    """k(x_i, y_i) = sum_n mu_n phi_n(x_i) phi_n(y_i), elementwise."""
+    return (m.basis(x) * m.basis(y)) @ m.eigenvalues
+
+
 class TestBuildModel:
     def test_single_mode_kernel(self):
         m = build_model(1.0, 2.0, 1)
-        k = m.kernel()
-        assert k.fn(0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert pointwise_kernel(m, 0.0, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
         # k(x, y) = 2 cos(pi x) cos(pi y)
-        assert k.fn(0.25, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert pointwise_kernel(m, 0.25, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_kappa_is_zeta_bound(self):
         m = build_model(1.0, 2.0, 512)
         assert m.kappa**2 == pytest.approx(math.pi**2 / 3, rel=1e-12)
         xs = np.linspace(0.0, 1.0, 101)
-        diag = m.kernel().fn(xs, xs)
+        diag = (m.basis(xs) ** 2) @ m.eigenvalues
         assert np.all(diag <= m.kappa**2 + 1e-12)
 
     def test_rejects_b_at_most_one(self):
@@ -40,7 +44,7 @@ class TestBuildModel:
 
     def test_gram_is_psd(self, model):
         rng = np.random.default_rng(17)
-        k = gram_matrix(model.kernel(), rng.uniform(size=60))
+        k = gram_matrix(model.basis(rng.uniform(size=60)), model.eigenvalues)
         eig = np.linalg.eigvalsh(k)
         assert eig.min() >= -1e-8 * np.trace(k)
 
@@ -66,15 +70,16 @@ class TestBuildModel:
     def test_kernel_symmetric_on_sampled_pairs(self, model):
         rng = np.random.default_rng(23)
         x, y = rng.uniform(size=30), rng.uniform(size=30)
-        k = model.kernel()
-        np.testing.assert_allclose(k.fn(x, y), k.fn(y, x), atol=1e-12)
+        np.testing.assert_allclose(
+            pointwise_kernel(model, x, y), pointwise_kernel(model, y, x), atol=1e-12
+        )
 
     def test_gram_spectrum_approaches_eigenvalues(self):
         # top eigenvalue of K/ell within 10% of mu_1 at ell = 2000
         m = build_model(1.0, 2.0, 128)
         rng = np.random.default_rng(20240817)
         xs = rng.uniform(size=2000)
-        k = gram_matrix(m.kernel(), xs)
+        k = gram_matrix(m.basis(xs), m.eigenvalues)
         top = np.linalg.eigvalsh(k / 2000)[-1]
         assert top == pytest.approx(m.eigenvalues[0], rel=0.1)
 
@@ -133,6 +138,14 @@ class TestSampleDataset:
         residual = ds.ys - target.evaluate(m, ds.xs)
         assert float(np.var(residual)) == pytest.approx(sigma**2, rel=0.01)
 
+    def test_features_are_the_read_only_basis(self, model):
+        target = make_target(model, 1.5, R=1.0, seed=3)
+        ds = sample_dataset(model, target, sigma=0.1, ell=40, seed=6)
+        assert np.array_equal(ds.features, model.basis(ds.xs))
+        for array in (ds.xs, ds.features, ds.ys):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_same_seed_bitwise_identical(self, model):
         target = make_target(model, 1.5, R=1.0, seed=3)
         a = sample_dataset(model, target, sigma=0.1, ell=200, seed=5)
@@ -157,7 +170,7 @@ class TestExactExcessRisk:
         m = build_model(1.0, 2.0, 8)
         target = make_target(m, 2.0, R=1.0, seed=6)
         ds = sample_dataset(m, target, sigma=0.0, ell=400, seed=8)
-        k = gram_matrix(m.kernel(), ds.xs)
+        k = gram_matrix(m.basis(ds.xs), m.eigenvalues)
         alpha = krr_fit(k, ds.ys, 1e-9)
         assert exact_excess_risk(target, fitted_coefficients(m, ds.xs, alpha)) <= 1e-6
 
@@ -166,7 +179,7 @@ class TestExactExcessRisk:
         target = make_target(m, 1.5, R=1.0, seed=2)
         ds = sample_dataset(m, target, sigma=0.2, ell=150, seed=14)
         lam = 0.05
-        k = gram_matrix(m.kernel(), ds.xs)
+        k = gram_matrix(m.basis(ds.xs), m.eigenvalues)
         alpha = krr_fit(k, ds.ys, lam)
         fitted_coeffs = fitted_coefficients(m, ds.xs, alpha)
         exact = exact_excess_risk(target, fitted_coeffs)
