@@ -48,8 +48,17 @@ def lambda_grid(lambdas) -> list[float]:
     return lams
 
 
-def aggregation(aggregate: str, burn_in: int) -> None:
-    """How a sweep's risks are reduced per ell, and how many grid points the fit skips."""
+def aggregation(aggregate: str, burn_in: int, grid_points: int) -> None:
+    """How a sweep's risks are reduced per ell, and how many grid points the fit skips.
+
+    The fit needs at least 2 of the sweep's ``grid_points`` distinct ells after the burn-in.
+    """
     if aggregate not in ("median", "mean"):
         raise ValueError(f"aggregate must be 'median' or 'mean', got {aggregate!r}")
     nonnegative("burn_in", burn_in)
+    fitted = max(grid_points - burn_in, 0)
+    if fitted < 2:
+        raise ValueError(
+            f"burn_in={burn_in} leaves {fitted} of {grid_points} grid points; "
+            "need at least 2 for a fit"
+        )

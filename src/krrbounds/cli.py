@@ -2,13 +2,14 @@
 
 Subcommands print human-readable summaries and emit plot-ready CSV; no
 rendering happens here so outputs stay diffable.  Exit codes: 0 success,
-2 usage or validation problem, 1 internal numerical failure.  The env var
+2 usage, validation or I/O problem, 1 internal numerical failure.  The env var
 EFFDIM_SEED overrides the seed of any simulation config.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
@@ -28,7 +29,7 @@ class RunConfig:
 
     The config keys are the fields of ``RateSweepConfig`` (``seed`` for
     ``master_seed``) and the fields below ``sweep``; a field with a default
-    is an optional key.
+    is an optional key.  Both output paths must lie in existing directories.
     """
 
     sweep: experiments.RateSweepConfig
@@ -38,7 +39,11 @@ class RunConfig:
     burn_in: int = experiments.DEFAULT_BURN_IN
 
     def __post_init__(self) -> None:
-        _checks.aggregation(self.aggregate, self.burn_in)
+        _checks.aggregation(self.aggregate, self.burn_in, len(self.sweep.ell_grid))
+        for name in ("records_path", "report_path"):
+            directory = os.path.dirname(getattr(self, name)) or "."
+            if not os.path.isdir(directory):
+                raise ValueError(f"{name} directory {directory!r} does not exist")
 
 
 def _config_schema() -> dict[str, tuple[type, str, object, bool]]:
@@ -126,12 +131,10 @@ def _cmd_effdim(args) -> int:
     gap_corrected = row.corrected - row.exact
     gap_claimed = row.claimed - row.exact
     if args.csv:
-        print("lambda,exact,corrected,claimed,gap_corrected,gap_claimed")
-        print(
-            ",".join(
-                _fmt(v)
-                for v in (row.lam, row.exact, row.corrected, row.claimed, gap_corrected, gap_claimed)
-            )
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["lambda", "exact", "corrected", "claimed", "gap_corrected", "gap_claimed"])
+        writer.writerow(
+            [row.lam, row.exact, row.corrected, row.claimed, gap_corrected, gap_claimed]
         )
         return 0
     names = {"exact": row.exact, "corrected": row.corrected, "claimed": row.claimed}
@@ -155,13 +158,10 @@ def _cmd_bounds_figure(args) -> int:
         raise ValueError("need 0 < --lambda-min <= --lambda-max")
     grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     rows = effdim.bound_comparison_table(args.beta, args.b, grid, tol=args.tol)
-    lines = ["lambda,exact,corrected,claimed"]
-    lines += [
-        ",".join(_fmt(v) for v in (row.lam, row.exact, row.corrected, row.claimed))
-        for row in rows
-    ]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["lambda", "exact", "corrected", "claimed"])
+        writer.writerows((row.lam, row.exact, row.corrected, row.claimed) for row in rows)
     print(
         f"wrote {len(rows)} rows to {args.out} "
         f"(beta={args.beta}, b={args.b}; b defaults to 2 for figure reproduction)"
@@ -170,10 +170,7 @@ def _cmd_bounds_figure(args) -> int:
 
 
 def _cmd_risk_bound(args) -> int:
-    params = PriorParams(
-        b=args.b, c=args.c, beta=args.beta, alpha=args.alpha,
-        R=args.R, kappa=args.kappa, M=args.M, Sigma=args.Sigma,
-    )
+    params = PriorParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PriorParams)})
     breakdown = rates.risk_bound(params, args.lam, args.ell, args.eta)
     required = rates.min_ell_for_condition(params, args.lam, args.eta)
     print(f"risk bound at lambda={args.lam} ell={args.ell} eta={args.eta}")
@@ -271,14 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds_figure)
 
     p = sub.add_parser("risk-bound", help="five-term risk bound with validity flags")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--M", type=float, required=True)
-    p.add_argument("--Sigma", type=float, required=True)
+    for field in dataclasses.fields(PriorParams):
+        p.add_argument(f"--{field.name}", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -309,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:

@@ -71,7 +71,8 @@ class RateSweepConfig:
         _checks.nonnegative("sigma", self.sigma)
         if not self.ell_grid:
             raise ValueError("ell_grid must be nonempty")
-        _checks.at_least_one("every ell in ell_grid", min(self.ell_grid))
+        for ell in self.ell_grid:
+            rates.lambda_schedule(self.b, self.c, ell)
         if list(self.ell_grid) != sorted(set(self.ell_grid)):
             raise ValueError("ell_grid must be strictly increasing")
         _checks.at_least_one("repetitions", self.repetitions)
@@ -231,22 +232,15 @@ def compare_with_theory(
     burn_in: int = DEFAULT_BURN_IN,
 ) -> RateComparison:
     """Aggregate risks per ell, fit the power law, and report the slope gap."""
-    _checks.aggregation(aggregate, burn_in)
     by_ell: dict[int, list[float]] = {}
     lam_by_ell: dict[int, float] = {}
     for record in records:
         by_ell.setdefault(record.ell, []).append(record.excess_risk)
         lam_by_ell[record.ell] = record.lam
-    if not by_ell:
-        raise ValueError("no records to compare")
+    _checks.aggregation(aggregate, burn_in, len(by_ell))
     reducer = statistics.median if aggregate == "median" else statistics.fmean
     ells = sorted(by_ell)
     fitted_ells = ells[burn_in:]
-    if len(fitted_ells) < 2:
-        raise ValueError(
-            f"burn_in={burn_in} leaves {len(fitted_ells)} of {len(ells)} grid points; "
-            "need at least 2 for a fit"
-        )
     rows = tuple(
         (ell, lam_by_ell[ell], float(reducer(by_ell[ell])), ell in set(fitted_ells))
         for ell in ells
@@ -298,27 +292,18 @@ def effdim_convergence_experiment(
     return EffDimConvergenceResult(rows=rows, per_repetition=per_rep)
 
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_records(records, path) -> None:
     """One record per line, comma-separated in RECORD_FIELDS order, full precision."""
-    lines = [
-        ",".join(_format_value(getattr(r, name)) for name in _RECORD_ATTRS) for r in records
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(dataclasses.astuple(r) for r in records)
 
 
 def read_records(path) -> list[RateExperimentRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for parts in csv.reader(fh):
+            if not "".join(parts).strip():
                 continue
-            parts = line.split(",")
             if len(parts) != len(RECORD_FIELDS):
                 raise ValueError(
                     f"record line has {len(parts)} fields, expected {len(RECORD_FIELDS)}"
@@ -336,7 +321,5 @@ def write_report_csv(comparison: RateComparison, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ell", "lambda", "risk", "aggregate", "used_in_fit"])
-        for ell, lam, risk, used in comparison.rows:
-            writer.writerow(
-                [ell, _format_value(lam), _format_value(risk), comparison.aggregate, used]
-            )
+        writer.writerows((ell, lam, risk, comparison.aggregate, used)
+                         for ell, lam, risk, used in comparison.rows)

@@ -121,6 +121,8 @@ CASES = {
         lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 0, 0), AT_LEAST_ONE),
     "experiments.RateSweepConfig ell_grid": (
         lambda: sweep_config(ell_grid=(0, 4)), AT_LEAST_ONE),
+    "experiments.RateSweepConfig c = 1 ell_grid": (
+        lambda: sweep_config(c=1.0, ell_grid=(1, 4)), "c = 1 schedule needs ell >= 2, got 1"),
     "experiments.RateSweepConfig n_modes": (lambda: sweep_config(n_modes=0), AT_LEAST_ONE),
     "experiments.RateSweepConfig repetitions": (
         lambda: sweep_config(repetitions=0), AT_LEAST_ONE),
@@ -149,6 +151,9 @@ CASES = {
     "experiments.compare_with_theory burn_in": (
         lambda: experiments.compare_with_theory([], 2.0, 2.0, burn_in=-1),
         "burn_in must be nonnegative"),
+    "experiments.compare_with_theory no records": (
+        lambda: experiments.compare_with_theory([], 2.0, 2.0, burn_in=0),
+        "burn_in=0 leaves 0 of 0 grid points; need at least 2 for a fit"),
 }
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import krrbounds
+from krrbounds import experiments
 from krrbounds.cli import RunConfig, _config_schema, load_config, main
 from krrbounds.effdim import effective_dimension_exact
 from krrbounds.experiments import RateSweepConfig
@@ -103,6 +104,13 @@ class TestBoundsFigureCommand:
         )
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 2
+
+    def test_missing_output_directory_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "absent" / "figure.csv"
+        code, out, err = run_cli(capsys, "bounds-figure", "--points", "3", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -213,6 +221,40 @@ class TestSimulateCommand:
         assert not (tmp_path / "records.txt").exists()
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"c": 1, "ell_grid": "1,16,32,64"}, "c = 1 schedule needs ell >= 2, got 1"),
+            ({"burn_in": 2}, "burn_in=2 leaves 1 of 3 grid points; need at least 2 for a fit"),
+            ({"records_path": "absent/records.txt"},
+             "records_path directory 'absent' does not exist"),
+            ({"report_path": "absent/report.csv"}, "report_path directory 'absent' does not exist"),
+        ],
+        ids=["c1-ell1", "burn-in", "records-dir", "report-dir"],
+    )
+    def test_unrunnable_config_exits_2_before_any_cell(
+        self, capsys, tmp_path, monkeypatch, overrides, fragment
+    ):
+        monkeypatch.chdir(tmp_path)
+
+        def no_cell(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        config = write_config(tmp_path / "bad.cfg", **overrides)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and fragment in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "run.cfg", records_path=".")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         config = write_config(tmp_path / "run.cfg")
         monkeypatch.setenv("EFFDIM_SEED", "12345")
@@ -237,7 +279,7 @@ class TestConfigSchema:
 
     def test_optional_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EFFDIM_SEED", raising=False)
-        path = write_config(tmp_path / "run.cfg")
+        path = write_config(tmp_path / "run.cfg", ell_grid="16,32,64,128")
         text = path.read_text(encoding="utf-8")
         for key in ("n_modes", "delta", "aggregate", "burn_in"):
             text = re.sub(rf"(?m)^{key} = .*\n", "", text)
@@ -245,7 +287,7 @@ class TestConfigSchema:
         loaded = load_config(str(path))
         assert loaded == RunConfig(
             sweep=RateSweepConfig(
-                b=2.0, c=2.0, beta=1.0, sigma=0.1, ell_grid=(16, 32, 64), repetitions=2,
+                b=2.0, c=2.0, beta=1.0, sigma=0.1, ell_grid=(16, 32, 64, 128), repetitions=2,
                 master_seed=7,
             ),
             records_path="records.txt",

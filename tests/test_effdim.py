@@ -191,6 +191,28 @@ def mp_effdim_b2(beta, lam):
     return (mpmath.pi * a * mpmath.coth(mpmath.pi * a) - 1) / 2
 
 
+def mp_effdim(beta, b, lam):
+    """N(lambda) for any b > 1, at the caller's working precision.
+
+    With s = lambda/beta, N = sum_{n>=1} 1/(1 + s n^b).  The head n <= M is
+    summed directly, with M = ceil((100/s)^(1/b)) so that u = 1/(s n^b) <= 0.01
+    past M.  There 1/(1 + s n^b) = u/(1 + u) = sum_{k>=1} (-1)^(k+1) u^k, so the
+    tail is the alternating series sum_k (-1)^(k+1) s^-k zeta(kb, M+1) in the
+    Hurwitz zeta.  Its terms fall by a factor of at least 100, so the first
+    omitted term, below 1e-35 of the sum, bounds the truncation error.
+    """
+    s, b = mpmath.mpf(lam) / mpmath.mpf(beta), mpmath.mpf(b)
+    m = int(mpmath.ceil((100 / s) ** (1 / b)))
+    total = mpmath.fsum(1 / (1 + s * mpmath.mpf(n) ** b) for n in range(1, m + 1))
+    k = 1
+    while True:
+        term = (-1) ** (k + 1) * s**-k * mpmath.zeta(k * b, m + 1)
+        if abs(term) < mpmath.mpf("1e-35") * total:
+            return total
+        total += term
+        k += 1
+
+
 def mp_wrong_inequality_gap(beta, b):
     """integral_value(beta, b) - b/(b-1) in mpmath."""
     beta, b = mpmath.mpf(beta), mpmath.mpf(b)
@@ -210,6 +232,24 @@ class TestMpmathOracles:
             assert value <= exact <= value + mpmath.mpf(result.truncation_error_bound)
             gap = mpmath.mpf(corrected_bound(beta, 2.0, lam)) - exact
             assert 0 < gap < 1
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 1e-1, 1.0])
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    @pytest.mark.parametrize("b", [1.5, 3.0, 5.0])
+    def test_enclosure_and_corrected_bound_off_b2(self, b, beta, lam):
+        result = effective_dimension_exact(polynomial_spectrum(beta, b, 1), lam)
+        with mpmath.workdps(40):
+            exact = mp_effdim(beta, b, lam)
+            value = mpmath.mpf(result.value)
+            assert value <= exact <= value + mpmath.mpf(result.truncation_error_bound)
+            gap = mpmath.mpf(corrected_bound(beta, b, lam)) - exact
+            assert 0 < gap < 1
+
+    @pytest.mark.parametrize("beta, lam", [(0.1, 1e-3), (1.0, 1e-2), (10.0, 1.0)])
+    def test_series_oracle_matches_b2_closed_form(self, beta, lam):
+        with mpmath.workdps(40):
+            closed = mp_effdim_b2(beta, lam)
+            assert abs(mp_effdim(beta, 2.0, lam) / closed - 1) < mpmath.mpf("1e-25")
 
     @pytest.mark.parametrize("b", [1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0])
     def test_threshold_matches_mpmath(self, b):

@@ -289,6 +289,24 @@ class TestPersistence:
         assert lines[0] == "ell,lambda,risk,aggregate,used_in_fit"
         assert len(lines) == 1 + 3
 
+    def test_numpy_scalar_config_writes_plain_floats(self, tmp_path):
+        plain = small_config(repetitions=2)
+        floats = ("b", "c", "beta", "sigma", "delta")
+        typed = small_config(
+            repetitions=2, **{name: np.float64(getattr(plain, name)) for name in floats}
+        )
+        records = {}
+        for name, config in (("plain", plain), ("typed", typed)):
+            records[name] = rate_sweep(config)
+            write_records(records[name], tmp_path / f"{name}.txt")
+            comparison = compare_with_theory(records[name], config.b, config.c, burn_in=0)
+            write_report_csv(comparison, tmp_path / f"{name}.csv")
+        for suffix in ("txt", "csv"):
+            typed_bytes = (tmp_path / f"typed.{suffix}").read_bytes()
+            assert typed_bytes == (tmp_path / f"plain.{suffix}").read_bytes()
+            assert b"np." not in typed_bytes
+        assert read_records(tmp_path / "typed.txt") == records["typed"] == records["plain"]
+
 
 class TestRecordValidation:
     def test_rejects_off_schedule_lambda(self):
