@@ -33,7 +33,6 @@ from .spectral import PriorParams, Spectrum, polynomial_spectrum, q_constant
 from .synth import (
     Dataset,
     SpectralKernelModel,
-    TargetFunction,
     build_model,
     exact_excess_risk,
     make_target,

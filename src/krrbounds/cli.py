@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import os
 import sys
 import typing
@@ -29,7 +30,8 @@ class RunConfig:
 
     The config keys are the fields of ``RateSweepConfig`` (``seed`` for
     ``master_seed``) and the fields below ``sweep``; a field with a default
-    is an optional key.  Both output paths must lie in existing directories.
+    is an optional key.  The two output paths must be distinct files in
+    existing directories.
     """
 
     sweep: experiments.RateSweepConfig
@@ -41,9 +43,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         _checks.aggregation(self.aggregate, self.burn_in, len(self.sweep.ell_grid))
         for name in ("records_path", "report_path"):
-            directory = os.path.dirname(getattr(self, name)) or "."
+            path = getattr(self, name)
+            directory = os.path.dirname(path) or "."
             if not os.path.isdir(directory):
                 raise ValueError(f"{name} directory {directory!r} does not exist")
+            if os.path.isdir(path):
+                raise ValueError(f"{name} {path!r}: {os.strerror(errno.EISDIR)}")
+        if os.path.abspath(self.records_path) == os.path.abspath(self.report_path):
+            raise ValueError(
+                f"report_path {self.report_path!r} is the same file as "
+                f"records_path {self.records_path!r}"
+            )
 
 
 def _config_schema() -> dict[str, tuple[type, str, object, bool]]:
@@ -300,12 +310,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it has to be matched first.
     except (RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -159,16 +159,16 @@ def _seed_digest(key: str) -> int:
 def run_cell(
     config: RateSweepConfig,
     model: synth.SpectralKernelModel,
-    target: synth.TargetFunction,
+    theta: np.ndarray,
     ell: int,
     repetition: int,
 ) -> RateExperimentRecord:
     """Draw, fit, and score a single sweep cell; independent of all others."""
     seed = cell_seed(config.master_seed, ell, repetition)
     lam = rates.lambda_schedule(config.b, config.c, ell)
-    dataset = synth.sample_dataset(model, target, config.sigma, ell, seed)
+    dataset = synth.sample_dataset(model, theta, config.sigma, ell, seed)
     coefficients = krr.krr_fit_factored(dataset.features, model.eigenvalues, dataset.ys, lam)
-    risk = synth.exact_excess_risk(target, coefficients)
+    risk = synth.exact_excess_risk(theta, coefficients)
     return RateExperimentRecord(
         ell=ell,
         repetition=repetition,
@@ -187,14 +187,14 @@ def run_cell(
 def rate_sweep(config: RateSweepConfig) -> list[RateExperimentRecord]:
     """All (ell, repetition) cells of the config, deterministic in the master seed."""
     model = synth.build_model(config.beta, config.b, config.n_modes)
-    target = synth.make_target(
+    theta = synth.make_target(
         model, config.c, TARGET_RADIUS, config.delta, seed=_target_seed(config.master_seed)
     )
     records = []
     for ell in config.ell_grid:
         for repetition in range(config.repetitions):
             try:
-                records.append(run_cell(config, model, target, ell, repetition))
+                records.append(run_cell(config, model, theta, ell, repetition))
             except Exception as exc:
                 raise RuntimeError(
                     f"sweep cell (ell={ell}, repetition={repetition}) failed: {exc}"

@@ -21,10 +21,10 @@ import numpy as np
 from scipy import special
 
 from . import _checks
+from .spectral import polynomial_spectrum
 
 __all__ = [
     "SpectralKernelModel",
-    "TargetFunction",
     "Dataset",
     "build_model",
     "make_target",
@@ -58,24 +58,8 @@ class SpectralKernelModel:
 
 
 @dataclass(frozen=True)
-class TargetFunction:
-    """Basis coefficients theta of the regression function, with its source data.
-
-    The source condition sum_n theta_n**2 * mu_n**-c <= R holds with
-    equality by construction (checkable via ``source_condition_value``).
-    """
-
-    theta: np.ndarray
-    c: float
-    R: float
-
-    def evaluate(self, model: SpectralKernelModel, xs) -> np.ndarray:
-        return model.basis(xs) @ self.theta
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Inputs, their basis matrix, noisy outputs, and the hard noise bound M.
+    """Inputs, their basis matrix and noisy outputs.
 
     ``features`` is the model's basis evaluated at the inputs,
     phi_n(x_i) of shape (len(xs), n_modes), from which ``ys`` was formed;
@@ -86,18 +70,12 @@ class Dataset:
     xs: np.ndarray
     features: np.ndarray
     ys: np.ndarray
-    seed: int
-    noise_bound: float
 
 
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
     """Spectral model with eigenvalues beta * n**-b for n = 1..n_modes."""
-    _checks.positive("beta", beta)
-    _checks.decay_exponent(b, finite=True)
     _checks.at_least_one("n_modes", n_modes)
-    n = np.arange(1, n_modes + 1, dtype=float)
-    eigenvalues = beta * n**-b
-    eigenvalues.setflags(write=False)
+    eigenvalues = polynomial_spectrum(beta, b, n_modes).eigenvalues
     kappa = math.sqrt(2.0 * beta * float(special.zeta(b)))
     return SpectralKernelModel(
         beta=float(beta), b=float(b), n_modes=int(n_modes),
@@ -111,13 +89,14 @@ def make_target(
     R: float,
     delta: float = DEFAULT_TAIL_MARGIN,
     seed: int = 0,
-) -> TargetFunction:
-    """Target with source norm exactly R: theta_n = s mu_n^{c/2} n^{-(1+delta)/2} sgn_n.
+) -> np.ndarray:
+    """Read-only target coefficients theta_n = s mu_n^{c/2} n^{-(1+delta)/2} sgn_n.
 
-    The normalizer s spreads radius R over the convergent series
-    sum n**-(1+delta); any delta > 0 works, small delta sits close to the
-    class boundary.  Random signs (from ``seed``) keep the target from
-    aligning with a single mode.
+    Their source norm sum_n theta_n**2 * mu_n**-c is exactly R (see
+    ``source_condition_value``).  The normalizer s spreads radius R over the
+    convergent series sum n**-(1+delta); any delta > 0 works, small delta
+    sits close to the class boundary.  Random signs (from ``seed``) keep the
+    target from aligning with a single mode.
     """
     _checks.source_degree(c)
     _checks.positive("R", R)
@@ -129,29 +108,29 @@ def make_target(
     signs = rng.integers(0, 2, size=model.n_modes) * 2 - 1
     theta = scale * model.eigenvalues ** (c / 2.0) * np.sqrt(tail_weights) * signs
     theta.setflags(write=False)
-    return TargetFunction(theta=theta, c=float(c), R=float(R))
+    return theta
 
 
-def source_condition_value(model: SpectralKernelModel, target: TargetFunction) -> float:
+def source_condition_value(model: SpectralKernelModel, theta: np.ndarray, c: float) -> float:
     """sum_n theta_n**2 * mu_n**-c, to compare against the radius R."""
-    _check_same_modes(model, target)
-    return float(np.sum(target.theta**2 * model.eigenvalues**-target.c))
+    _check_same_modes(model, theta)
+    return float(np.sum(theta**2 * model.eigenvalues**-c))
 
 
 def sample_dataset(
     model: SpectralKernelModel,
-    target: TargetFunction,
+    theta: np.ndarray,
     sigma: float,
     ell: int,
     seed: int,
 ) -> Dataset:
-    """ell i.i.d. pairs: x uniform on [0, 1], y = f(x) + uniform noise.
+    """ell i.i.d. pairs: x uniform on [0, 1], y = Phi(x) theta + uniform noise.
 
     Noise is uniform on [-sigma*sqrt(3), sigma*sqrt(3)]: variance sigma**2,
     hard bound M = sigma*sqrt(3).  The counter-based generator makes draws
     for distinct seeds independent and reproducible in any order.
     """
-    _check_same_modes(model, target)
+    _check_same_modes(model, theta)
     _checks.nonnegative("sigma", sigma)
     _checks.at_least_one("ell", ell)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -159,13 +138,13 @@ def sample_dataset(
     bound = sigma * math.sqrt(3.0)
     noise = rng.uniform(-bound, bound, size=ell)
     features = model.basis(xs)
-    ys = features @ target.theta + noise
+    ys = features @ theta + noise
     for array in (xs, features, ys):
         array.setflags(write=False)
-    return Dataset(xs=xs, features=features, ys=ys, seed=int(seed), noise_bound=bound)
+    return Dataset(xs=xs, features=features, ys=ys)
 
 
-def exact_excess_risk(target: TargetFunction, coefficients) -> float:
+def exact_excess_risk(theta: np.ndarray, coefficients) -> float:
     """sum_n (c_n - theta_n)**2 for a function with basis coefficients c.
 
     By orthonormality of the basis this is the squared L2(uniform) distance
@@ -174,17 +153,17 @@ def exact_excess_risk(target: TargetFunction, coefficients) -> float:
     which ``krr.krr_fit_factored`` returns directly.
     """
     coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != target.theta.shape:
+    if coefficients.shape != theta.shape:
         raise ValueError(
             f"basis coefficients have shape {coefficients.shape}, "
-            f"target has {target.theta.shape[0]} coefficients"
+            f"target has {theta.shape[0]} coefficients"
         )
-    return float(np.sum((coefficients - target.theta) ** 2))
+    return float(np.sum((coefficients - theta) ** 2))
 
 
-def _check_same_modes(model: SpectralKernelModel, target: TargetFunction) -> None:
-    if target.theta.shape[0] != model.n_modes:
+def _check_same_modes(model: SpectralKernelModel, theta: np.ndarray) -> None:
+    if theta.shape[0] != model.n_modes:
         raise ValueError(
-            f"target has {target.theta.shape[0]} coefficients, "
+            f"target has {theta.shape[0]} coefficients, "
             f"model has {model.n_modes} modes"
         )

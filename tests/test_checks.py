@@ -126,6 +126,8 @@ CASES = {
     "experiments.RateSweepConfig n_modes": (lambda: sweep_config(n_modes=0), AT_LEAST_ONE),
     "experiments.RateSweepConfig repetitions": (
         lambda: sweep_config(repetitions=0), AT_LEAST_ONE),
+    "experiments.RateSweepConfig ell_grid order": (
+        lambda: sweep_config(ell_grid=(8, 4)), "ell_grid must be strictly increasing"),
     "experiments.effdim_convergence_experiment ell": (lambda: convergence(ell=0), AT_LEAST_ONE),
     "experiments.effdim_convergence_experiment repetitions": (
         lambda: convergence(repetitions=0), AT_LEAST_ONE),
@@ -145,6 +147,24 @@ CASES = {
         lambda: convergence(lambda_grid=[]), EMPTY_GRID),
     "experiments.effdim_convergence_experiment nonpositive": (
         lambda: convergence(lambda_grid=[0.1, 0.0]), "lambda"),
+    # malformed arrays and records
+    "spectral.Spectrum empty": (
+        lambda: spectral.Spectrum(np.array([])), "eigenvalues must be a nonempty 1-d sequence"),
+    "krr.krr_fit non-square K": (
+        lambda: krr.krr_fit(np.ones((2, 3)), np.ones(2), 0.1), "K must be square"),
+    "krr.krr_fit y shape": (
+        lambda: krr.krr_fit(np.eye(2), np.ones(3), 0.1), "y must have shape (2,)"),
+    "krr.empirical_effective_dimension_profile non-square K": (
+        lambda: krr.empirical_effective_dimension_profile(np.ones((2, 3)), [0.1]),
+        "K must be square"),
+    "synth.sample_dataset theta modes": (
+        lambda: synth.sample_dataset(MODEL, TARGET[:-1], 0.1, 4, 0),
+        "target has 7 coefficients, model has 8 modes"),
+    "experiments.RateExperimentRecord excess_risk": (
+        lambda: experiments.RateExperimentRecord(
+            ell=4, repetition=0, lam=rates.lambda_schedule(2.0, 2.0, 4), excess_risk=-1.0,
+            seed=0, b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=8, delta=0.1),
+        "excess_risk must be nonnegative"),
     # aggregation of a sweep
     "experiments.compare_with_theory aggregate": (
         lambda: experiments.compare_with_theory([], 2.0, 2.0, aggregate="max"), "aggregate"),

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import krrbounds
-from krrbounds import experiments
+from krrbounds import effdim, experiments
 from krrbounds.cli import RunConfig, _config_schema, load_config, main
 from krrbounds.effdim import effective_dimension_exact
 from krrbounds.experiments import RateSweepConfig
@@ -83,6 +84,24 @@ class TestEffdimCommand:
         assert code == 2
         assert "b must be > 1" in err
 
+    def test_direct_term_cap_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "effdim", "--beta", "1", "--b", "1.01", "--lambda", "1e-12"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: ")
+        assert "needs more than 67108864 direct terms" in err
+
+    def test_linalg_error_exits_1(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it is still a numerical failure
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(effdim, "bound_comparison_table", no_convergence)
+        code, out, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "1e-3")
+        assert (code, out) == (1, "")
+        assert err == "numerical failure: SVD did not converge\n"
+
 
 class TestBoundsFigureCommand:
     def test_default_grid_ordering_at_1e3(self, capsys, tmp_path):
@@ -111,6 +130,16 @@ class TestBoundsFigureCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "No such file or directory" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_reversed_lambda_range_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "figure.csv"
+        code, out, err = run_cli(
+            capsys, "bounds-figure", "--lambda-min", "1", "--lambda-max", "0.1",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "need 0 < --lambda-min <= --lambda-max" in err
+        assert not out_path.exists()
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -184,6 +213,13 @@ class TestSimulateCommand:
         lines = (tmp_path / "records.txt").read_text().splitlines()
         assert len(lines) == 3 * 2  # 3 grid points x 2 repetitions
 
+    def test_c_one_prints_log_factor_note(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "run.cfg", c=1)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 0
+        assert "note: c = 1 fit ignores the log(ell) factor in the schedule rate" in out
+
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
@@ -229,8 +265,11 @@ class TestSimulateCommand:
             ({"records_path": "absent/records.txt"},
              "records_path directory 'absent' does not exist"),
             ({"report_path": "absent/report.csv"}, "report_path directory 'absent' does not exist"),
+            ({"report_path": "."}, "report_path '.': Is a directory"),
+            ({"report_path": "./records.txt"},
+             "report_path './records.txt' is the same file as records_path 'records.txt'"),
         ],
-        ids=["c1-ell1", "burn-in", "records-dir", "report-dir"],
+        ids=["c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "same-file"],
     )
     def test_unrunnable_config_exits_2_before_any_cell(
         self, capsys, tmp_path, monkeypatch, overrides, fragment
@@ -268,6 +307,26 @@ class TestSimulateCommand:
         path.write_text("beta = 1.0\nmystery = 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("beta = 1.0\nb 2.0\n", "bad.cfg:2: expected 'key = value', got 'b 2.0'"),
+            ("beta = 1.0\nbeta = 2.0\n", "bad.cfg:2: duplicate config key 'beta'"),
+        ],
+        ids=["no-equals", "duplicate"],
+    )
+    def test_malformed_line_rejected(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            load_config(str(path))
+
+    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "run.cfg")
+        monkeypatch.setenv("EFFDIM_SEED", "seven")
+        with pytest.raises(ValueError, match="EFFDIM_SEED must be an integer, got 'seven'"):
+            load_config(str(config))
 
 
 class TestConfigSchema:

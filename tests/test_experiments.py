@@ -280,6 +280,12 @@ class TestPersistence:
             "b", "c", "beta", "sigma", "n_modes", "delta",
         )
 
+    def test_wrong_field_count_rejected(self, tmp_path):
+        path = tmp_path / "records.txt"
+        path.write_text("64,3,0.18946457081379975\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="record line has 3 fields, expected 11"):
+            read_records(path)
+
     def test_report_csv_has_header(self, tmp_path):
         records = rate_sweep(small_config())
         comp = compare_with_theory(records, 2.0, 2.0, burn_in=0)

@@ -38,6 +38,13 @@ class TestBuildModel:
         diag = (m.basis(xs) ** 2) @ m.eigenvalues
         assert np.all(diag <= m.kappa**2 + 1e-12)
 
+    def test_eigenvalues_are_the_polynomial_spectrum(self):
+        m = build_model(0.3, 1.7, 40)
+        n = np.arange(1, 41, dtype=float)
+        assert np.array_equal(m.eigenvalues, 0.3 * n**-1.7)
+        with pytest.raises(ValueError, match="read-only"):
+            m.eigenvalues[0] = 0.0
+
     def test_rejects_b_at_most_one(self):
         with pytest.raises(ValueError, match="b must be"):
             build_model(1.0, 1.0, 8)
@@ -88,17 +95,17 @@ class TestMakeTarget:
     def test_source_condition_holds_with_equality(self, model):
         for c in (1.0, 1.5, 2.0):
             target = make_target(model, c, R=0.7, delta=0.1, seed=4)
-            assert source_condition_value(model, target) == pytest.approx(0.7, rel=1e-12)
+            assert source_condition_value(model, target, c) == pytest.approx(0.7, rel=1e-12)
 
     def test_c_one_is_hilbert_norm_ball(self, model):
         target = make_target(model, 1.0, R=2.0, seed=1)
-        h_norm_sq = float(np.sum(target.theta**2 / model.eigenvalues))
+        h_norm_sq = float(np.sum(target**2 / model.eigenvalues))
         assert h_norm_sq == pytest.approx(2.0, rel=1e-12)
 
     def test_single_mode(self):
         m = build_model(1.0, 2.0, 1)
         target = make_target(m, 1.6, R=0.9, seed=0)
-        assert abs(target.theta[0]) == pytest.approx(
+        assert abs(target[0]) == pytest.approx(
             math.sqrt(0.9) * m.eigenvalues[0] ** 0.8, rel=1e-12
         )
 
@@ -108,25 +115,30 @@ class TestMakeTarget:
         with pytest.raises(ValueError, match="delta"):
             make_target(model, 1.5, R=1.0, delta=0.0)
 
+    def test_target_is_read_only(self, model):
+        target = make_target(model, 1.5, R=1.0, seed=1)
+        assert target.shape == (model.n_modes,)
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 0.0
+
     def test_signs_depend_on_seed(self, model):
         t1 = make_target(model, 1.5, R=1.0, seed=1)
         t2 = make_target(model, 1.5, R=1.0, seed=2)
-        assert not np.array_equal(t1.theta, t2.theta)
-        np.testing.assert_allclose(np.abs(t1.theta), np.abs(t2.theta), rtol=1e-15)
+        assert not np.array_equal(t1, t2)
+        np.testing.assert_allclose(np.abs(t1), np.abs(t2), rtol=1e-15)
 
 
 class TestSampleDataset:
     def test_noiseless(self, model):
         target = make_target(model, 1.5, R=1.0, seed=3)
         ds = sample_dataset(model, target, sigma=0.0, ell=50, seed=9)
-        np.testing.assert_array_equal(ds.ys, target.evaluate(model, ds.xs))
-        assert ds.noise_bound == 0.0
+        np.testing.assert_array_equal(ds.ys, model.basis(ds.xs) @ target)
 
     def test_noise_bounded_everywhere(self, model):
         target = make_target(model, 1.5, R=1.0, seed=3)
         sigma = 0.4
         ds = sample_dataset(model, target, sigma=sigma, ell=5000, seed=12)
-        residual = ds.ys - target.evaluate(model, ds.xs)
+        residual = ds.ys - model.basis(ds.xs) @ target
         assert np.max(np.abs(residual)) <= sigma * math.sqrt(3.0)
 
     def test_noise_variance_monte_carlo(self):
@@ -135,7 +147,7 @@ class TestSampleDataset:
         target = make_target(m, 1.5, R=1.0, seed=3)
         sigma = 0.25
         ds = sample_dataset(m, target, sigma=sigma, ell=10**6, seed=77)
-        residual = ds.ys - target.evaluate(m, ds.xs)
+        residual = ds.ys - m.basis(ds.xs) @ target
         assert float(np.var(residual)) == pytest.approx(sigma**2, rel=0.01)
 
     def test_features_are_the_read_only_basis(self, model):
@@ -163,7 +175,7 @@ class TestExactExcessRisk:
     def test_zero_coefficients_give_l2_norm(self, model):
         target = make_target(model, 1.5, R=1.0, seed=3)
         risk = exact_excess_risk(target, np.zeros(model.n_modes))
-        assert risk == pytest.approx(float(np.sum(target.theta**2)), rel=1e-12)
+        assert risk == pytest.approx(float(np.sum(target**2)), rel=1e-12)
 
     def test_near_interpolation_recovers_target(self):
         # dense noiseless sample, tiny lambda: fitted function ~ target
@@ -187,7 +199,7 @@ class TestExactExcessRisk:
         rng = np.random.default_rng(99)
         test_xs = rng.uniform(size=10**6)
         phi = m.basis(test_xs)
-        diff_sq = (phi @ fitted_coeffs - phi @ target.theta) ** 2
+        diff_sq = (phi @ fitted_coeffs - phi @ target) ** 2
         mc, se = float(diff_sq.mean()), float(diff_sq.std() / math.sqrt(diff_sq.size))
         assert abs(exact - mc) <= 3.0 * se
 
@@ -201,9 +213,9 @@ class TestExactExcessRisk:
 
     def test_coefficient_risk_zero_at_target(self, model):
         target = make_target(model, 1.5, R=1.0, seed=3)
-        assert exact_excess_risk(target, target.theta) == 0.0
+        assert exact_excess_risk(target, target) == 0.0
         with pytest.raises(ValueError, match="coefficients"):
-            exact_excess_risk(target, target.theta[:-1])
+            exact_excess_risk(target, target[:-1])
 
     def test_dimension_mismatch_rejected(self, model):
         other = build_model(1.0, 2.0, 3)
