@@ -49,10 +49,13 @@ class RunConfig:
                 raise ValueError(f"{name} directory {directory!r} does not exist")
             if os.path.isdir(path):
                 raise ValueError(f"{name} {path!r}: {os.strerror(errno.EISDIR)}")
-        if os.path.abspath(self.records_path) == os.path.abspath(self.report_path):
+        records, report = self.records_path, self.report_path
+        # realpath sees symlinks, dangling ones too; samefile sees hard links
+        if os.path.realpath(records) == os.path.realpath(report) or (
+            os.path.exists(records) and os.path.exists(report) and os.path.samefile(records, report)
+        ):
             raise ValueError(
-                f"report_path {self.report_path!r} is the same file as "
-                f"records_path {self.records_path!r}"
+                f"report_path {report!r} is the same file as records_path {records!r}"
             )
 
 

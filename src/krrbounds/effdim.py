@@ -6,12 +6,13 @@ For a spectrum t_1 >= t_2 >= ... the effective dimension is
 
 For the polynomial decay t_n = beta * n**-b the sum is compared against
 
-    corrected_bound = beta**(1/b) * (pi/b)/sin(pi/b) * lambda**(-1/b)
+    corrected_bound = Q * lambda**(-1/b),   Q = spectral.q_constant(beta, b)
     claimed_bound   = (beta * b / (b - 1)) * lambda**(-1/b)
 
 The first equals the integral of x |-> beta/(beta + lambda x**b) over
-[0, inf) and genuinely dominates the sum (by at most 1, the size of the
-dropped x = 0 term).  The second rests on the false inequality
+[0, inf) and dominates the sum by at most 1 (the dropped x = 0 term); the
+integral over [a, inf), corrected_bound times a regularized incomplete
+beta, encloses the sum's tail.  The second rests on the false inequality
 int_0^inf dt/(beta + t**b) <= b/(b-1); it fails for every beta below a
 computable threshold and is kept only as a reference curve.
 """
@@ -52,10 +53,11 @@ _SUM_CHUNK = 1 << 22
 
 @dataclass(frozen=True)
 class EffDimResult:
-    """Effective-dimension value with a rigorous truncation interval.
+    """Effective-dimension value with a truncation interval.
 
-    The true N(lambda) lies in [value, value + truncation_error_bound];
-    terms_summed counts the directly summed leading terms.
+    N(lambda) lies in [value, value + truncation_error_bound] in exact
+    arithmetic; float64 rounding can break that where the tail dominates
+    (b near 1, ROADMAP item 2).  terms_summed counts the summed leading terms.
     """
 
     value: float
@@ -93,13 +95,12 @@ def _tail_integral(beta: float, b: float, lam: float, a: float) -> float:
     """int_a^inf beta/(beta + lambda x**b) dx via the regularized incomplete beta.
 
     Substituting t = beta/(beta + lambda x**b) turns the tail into an
-    incomplete-beta integral with parameters (1 - 1/b, 1/b), whose complete
-    value is pi/sin(pi/b).
+    incomplete-beta integral with parameters (1 - 1/b, 1/b); the integral
+    over [0, inf) is ``corrected_bound``.
     """
     z = b * math.log(a) + math.log(lam) - math.log(beta)
     t0 = math.exp(-z) if z > 700.0 else 1.0 / (1.0 + math.exp(z))
-    full = (math.pi / b) / math.sin(math.pi / b) * beta ** (1.0 / b) * lam ** (-1.0 / b)
-    return full * float(special.betainc(1.0 - 1.0 / b, 1.0 / b, t0))
+    return corrected_bound(beta, b, lam) * float(special.betainc(1.0 - 1.0 / b, 1.0 / b, t0))
 
 
 def _sandwich(beta: float, b: float, lam: float, n: int) -> tuple[float, float]:
@@ -137,7 +138,7 @@ def effective_dimension_exact(
     truncation error is reported as 0.  With a decay model the infinite
     series is evaluated: leading terms are summed directly and the tail is
     pinned between integral bounds until the enclosure is narrower than
-    ``tol``, so the true value lies in [value, value + tol].
+    ``tol``; ``EffDimResult`` says when N lies in [value, value + tol].
     """
     _checks.positive("lambda", lam)
     _checks.positive("tol", tol)
@@ -195,10 +196,9 @@ def claimed_bound(beta: float, b: float, lam: float) -> float:
 
 
 def integral_value(beta: float, b: float) -> float:
-    """Closed form beta**((1-b)/b) * (pi/b)/sin(pi/b) of int_0^inf dt/(beta + t**b)."""
-    _checks.positive("beta", beta)
+    """Closed form Q(beta, b) / beta of int_0^inf dt/(beta + t**b)."""
     _checks.decay_exponent(b, finite=True)
-    return beta ** ((1.0 - b) / b) * (math.pi / b) / math.sin(math.pi / b)
+    return q_constant(beta, b) / beta
 
 
 def wrong_inequality_gap(beta: float, b: float) -> float:
@@ -209,12 +209,11 @@ def wrong_inequality_gap(beta: float, b: float) -> float:
 def wrong_inequality_threshold(b: float) -> float:
     """The beta at which the gap changes sign, in closed form.
 
-    Below ((b-1)/b * (pi/b)/sin(pi/b))**(b/(b-1)) the integral exceeds
-    b/(b-1); the gap tends to +inf as beta -> 0.
+    Below ((b-1)/b * Q(1, b))**(b/(b-1)) the integral exceeds b/(b-1);
+    the gap tends to +inf as beta -> 0.
     """
     _checks.decay_exponent(b, finite=True)
-    base = (b - 1.0) / b * (math.pi / b) / math.sin(math.pi / b)
-    return base ** (b / (b - 1.0))
+    return ((b - 1.0) / b * q_constant(1.0, b)) ** (b / (b - 1.0))
 
 
 def find_wrong_inequality_threshold(b: float) -> float:
@@ -223,7 +222,6 @@ def find_wrong_inequality_threshold(b: float) -> float:
     The gap decreases in beta.  Bisection runs until the midpoint of the
     bracket equals one of its ends, i.e. the ends are adjacent floats.
     """
-    _checks.decay_exponent(b, finite=True)
     lo, hi = 1e-8, 1e8
     if not (wrong_inequality_gap(lo, b) > 0 > wrong_inequality_gap(hi, b)):
         raise RuntimeError(f"bisection bracket failed for b={b}")

@@ -84,7 +84,6 @@ def min_ell_for_condition(params: PriorParams, lam: float, eta: float) -> float:
     integer.  For b = inf the exponent degenerates to -1.
     """
     _checks.positive("lambda", lam)
-    _check_eta(eta)
     q = q_constant(params.beta, params.b)
     inv_b = 1.0 / params.b
     return 2.0 * c_eta(eta) * params.kappa * q * lam ** -(1.0 + inv_b)
@@ -142,7 +141,7 @@ def lambda_schedule(b: float, c: float, ell: float) -> float:
     return ell**-expo
 
 
-def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> float:
+def min_sample_size(params: PriorParams, eta: float) -> float:
     """Threshold ell_eta past which the schedule satisfies the sample-size condition.
 
     c > 1: (2 C_eta kappa Q)**expo with expo = (bc+1)/(b(c-1)), raised by
@@ -151,14 +150,11 @@ def min_sample_size(params: PriorParams, eta: float, c: float | None = None) -> 
     c = 1: exp(2 C_eta kappa Q).
     Returned as a real number; math.inf when it exceeds float64 range.
     """
-    _check_eta(eta)
-    if c is None:
-        c = params.c
-    _checks.source_degree(c)
-    base = 2.0 * c_eta(eta) * params.kappa * q_constant(params.beta, params.b)
+    # 2 C_eta kappa Q: the condition's threshold at lambda = 1
+    base = min_ell_for_condition(params, 1.0, eta)
+    b, c = params.b, params.c
     if c == 1.0:
         return math.exp(base) if base <= _EXP_OVERFLOW else math.inf
-    b = params.b
     expo = c / (c - 1.0) if math.isinf(b) else (b * c + 1.0) / (b * (c - 1.0))
     log_value = expo * math.log(base)
     log_value += _THRESHOLD_ROUNDING * expo * (1.0 + abs(log_value))

@@ -31,15 +31,21 @@ class Spectrum:
     ``decay_model``, when present, is the ``(beta, b)`` pair generating
     ``eigenvalues[n-1] = beta * n**-b``; consumers that need the infinite
     tail (the effective-dimension computation) use it to treat the tail
-    analytically instead of materialising huge arrays.  b must be finite
-    here: an infinite exponent would zero out every eigenvalue past the
-    first, contradicting positivity.
+    analytically instead of materialising huge arrays.  beta and b must be
+    finite here: an infinite beta makes every eigenvalue infinite, and an
+    infinite exponent would zero out every eigenvalue past the first.
     """
 
     eigenvalues: np.ndarray
     decay_model: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if self.decay_model is not None:
+            beta, b = self.decay_model
+            _checks.positive("beta", beta)
+            if not math.isfinite(beta):
+                raise ValueError(f"beta must be finite here, got {beta}")
+            _checks.decay_exponent(b, finite=True)
         eig = np.array(self.eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
@@ -48,9 +54,6 @@ class Spectrum:
         if np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be nonincreasing")
         if self.decay_model is not None:
-            beta, b = self.decay_model
-            _checks.positive("beta", beta)
-            _checks.decay_exponent(b, finite=True)
             n = np.arange(1, eig.size + 1, dtype=float)
             if not np.allclose(eig, beta * n**-b, rtol=1e-14, atol=0.0):
                 raise ValueError("eigenvalues deviate from beta * n**-b decay model")
@@ -90,11 +93,10 @@ class PriorParams:
 
 def polynomial_spectrum(beta: float, b: float, n_max: int) -> Spectrum:
     """First ``n_max`` eigenvalues t_n = beta * n**-b, with the decay model attached."""
-    _checks.positive("beta", beta)
-    _checks.decay_exponent(b, finite=True)
     _checks.at_least_one("n_max", n_max)
     n = np.arange(1, n_max + 1, dtype=float)
-    return Spectrum(beta * n**-b, decay_model=(float(beta), float(b)))
+    with np.errstate(invalid="ignore"):  # inf * 0 needs a beta or b that Spectrum rejects
+        return Spectrum(beta * n**-b, decay_model=(float(beta), float(b)))
 
 
 def q_constant(beta: float, b: float) -> float:

@@ -154,7 +154,7 @@ def test_criterion_06_schedule_condition_algebra():
             eta = rng.uniform(0.05, 0.95)
             params = PriorParams(b=b, c=1.0, beta=beta, alpha=1.0, R=1.0,
                                  kappa=kappa, M=1.0, Sigma=1.0)
-            threshold = min_sample_size(params, eta, c=1.0)
+            threshold = min_sample_size(params, eta)
             if threshold > 1e6:
                 continue  # over the stated cap
             ell = max(2, math.ceil(threshold))

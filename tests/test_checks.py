@@ -67,7 +67,6 @@ CASES = {
     # c outside [1, 2]
     "spectral.PriorParams c": (lambda: prior(c=0.5), C_RANGE),
     "rates.lambda_schedule c": (lambda: rates.lambda_schedule(2.0, 2.5, 10), C_RANGE),
-    "rates.min_sample_size c": (lambda: rates.min_sample_size(prior(), 0.05, c=3.0), C_RANGE),
     "rates.dominance_margins c": (lambda: rates.dominance_margins(2.0, 0.9), C_RANGE),
     "synth.make_target c": (lambda: synth.make_target(MODEL, 2.5, R=1.0), C_RANGE),
     "experiments.RateSweepConfig c": (lambda: sweep_config(c=3.0), C_RANGE),
@@ -79,6 +78,15 @@ CASES = {
         lambda: effdim.claimed_bound(0.0, 2.0, 0.1), "beta must be positive"),
     "synth.build_model beta": (lambda: synth.build_model(0.0, 2.0, 8), "beta must be positive"),
     "experiments.RateSweepConfig beta": (lambda: sweep_config(beta=0.0), "beta must be positive"),
+    "spectral.polynomial_spectrum beta b inf": (
+        lambda: spectral.polynomial_spectrum(0.0, math.inf, 4), "beta must be positive"),
+    "spectral.polynomial_spectrum beta inf": (
+        lambda: spectral.polynomial_spectrum(math.inf, 2.0, 4), "beta must be finite here, got inf"),
+    # eta outside (0, 6)
+    "rates.min_ell_for_condition eta": (
+        lambda: rates.min_ell_for_condition(prior(), 0.1, 0.0), "eta must lie in (0, 6)"),
+    "rates.min_sample_size eta": (
+        lambda: rates.min_sample_size(prior(), 6.0), "eta must lie in (0, 6)"),
     # lambda <= 0
     "effdim.effective_dimension_exact lambda": (
         lambda: effdim.effective_dimension_exact(SPECTRUM, 0.0), "lambda must be positive"),

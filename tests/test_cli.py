@@ -21,6 +21,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_cell(*args):
+    raise AssertionError("a sweep cell ran")
+
+
 def write_config(path, **overrides):
     values = dict(
         beta=1.0, b=2.0, c=2.0, sigma=0.1, n_modes=16, delta=0.1,
@@ -83,6 +87,11 @@ class TestEffdimCommand:
         code, _, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "1", "--lambda", "1e-3")
         assert code == 2
         assert "b must be > 1" in err
+
+    def test_infinite_beta_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "effdim", "--beta", "inf", "--b", "2", "--lambda", "1e-3")
+        assert (code, out) == (2, "")
+        assert err == "error: beta must be finite here, got inf\n"
 
     def test_direct_term_cap_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -268,23 +277,43 @@ class TestSimulateCommand:
             ({"report_path": "."}, "report_path '.': Is a directory"),
             ({"report_path": "./records.txt"},
              "report_path './records.txt' is the same file as records_path 'records.txt'"),
+            ({"beta": "inf"}, "beta must be finite here, got inf"),
         ],
-        ids=["c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "same-file"],
+        ids=[
+            "c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "same-file",
+            "beta-inf",
+        ],
     )
     def test_unrunnable_config_exits_2_before_any_cell(
         self, capsys, tmp_path, monkeypatch, overrides, fragment
     ):
         monkeypatch.chdir(tmp_path)
-
-        def no_cell(*args):
-            raise AssertionError("a sweep cell ran")
-
         monkeypatch.setattr(experiments, "run_cell", no_cell)
         config = write_config(tmp_path / "bad.cfg", **overrides)
         code, out, err = run_cli(capsys, "simulate", "--config", str(config))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and fragment in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("link", ["symlink", "dangling-symlink", "hardlink"])
+    def test_report_linked_to_records_exits_2_before_any_cell(
+        self, capsys, tmp_path, monkeypatch, link
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        files = ["bad.cfg", "link.csv"]
+        if link != "dangling-symlink":
+            Path("records.txt").write_text("kept\n", encoding="utf-8")
+            files.append("records.txt")
+        (os.link if link == "hardlink" else os.symlink)("records.txt", "link.csv")
+        config = write_config(tmp_path / "bad.cfg", report_path="link.csv")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "report_path 'link.csv' is the same file as records_path 'records.txt'" in err
+        assert sorted(os.listdir()) == files
+        if link != "dangling-symlink":
+            assert Path("records.txt").read_text(encoding="utf-8") == "kept\n"
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -143,13 +143,11 @@ class TestMinSampleSize:
     def test_log_case(self):
         # base 3, c=1: exp(3)
         params = make_params(c=1.0, beta=1.0, kappa=1.0 / (32.0 * math.pi))
-        assert min_sample_size(params, ETA_UNIT_LOG, c=1.0) == pytest.approx(
-            math.exp(3.0), rel=1e-10
-        )
+        assert min_sample_size(params, ETA_UNIT_LOG) == pytest.approx(math.exp(3.0), rel=1e-10)
 
     def test_unit_base(self):
         params = make_params(beta=1.0, kappa=1.0 / (96.0 * math.pi))
-        assert min_sample_size(params, ETA_UNIT_LOG, c=1.5) == pytest.approx(1.0, rel=1e-10)
+        assert min_sample_size(params, ETA_UNIT_LOG) == pytest.approx(1.0, rel=1e-10)
 
     def test_overflow_returns_inf(self):
         params = make_params(c=1.0 + 1e-12)
@@ -257,7 +255,7 @@ class TestScheduleConditionCompatibility:
     def test_c_equal_one(self, b, kappa, beta, eta, slack):
         params = PriorParams(b=b, c=1.0, beta=beta, alpha=1.0, R=1.0,
                              kappa=kappa, M=1.0, Sigma=1.0)
-        threshold = min_sample_size(params, eta, c=1.0)
+        threshold = min_sample_size(params, eta)
         if threshold > 1e6:
             return
         ell = max(2, math.ceil(threshold)) + slack
