@@ -13,7 +13,9 @@ import csv
 import dataclasses
 import errno
 import os
+import shutil
 import sys
+import tempfile
 import typing
 
 import numpy as np
@@ -223,14 +225,25 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     records = experiments.rate_sweep(config.sweep)
     comparison = experiments.compare_with_theory(
-        records,
-        config.sweep.b,
-        config.sweep.c,
-        aggregate=config.aggregate,
-        burn_in=config.burn_in,
+        records, config.sweep.b, config.sweep.c, aggregate=config.aggregate, burn_in=config.burn_in
     )
-    experiments.write_records(records, config.records_path)
-    experiments.write_report_csv(comparison, config.report_path)
+    # Each file is written in a fresh directory beside its target, so it gets the
+    # mode open(path, "w") gives, and moved into place once both are written.
+    staged = []
+    try:
+        for write, data, path in ((experiments.write_records, records, config.records_path),
+                                  (experiments.write_report_csv, comparison, config.report_path)):
+            target = os.path.realpath(path)
+            temp = os.path.join(tempfile.mkdtemp(dir=os.path.dirname(target)), "out")
+            staged.append((temp, target))
+            write(data, temp)
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            shutil.rmtree(os.path.dirname(temp), ignore_errors=True)
     print(f"wrote {len(records)} records to {config.records_path}")
     print(f"wrote report to {config.report_path}")
     print(f"  fitted slope     = {_fmt(comparison.fit.slope)} (r^2 = {_fmt(comparison.fit.r_squared)})")

@@ -91,31 +91,15 @@ def _decay_fraction(beta: float, b: float, lam: float, n) -> np.ndarray:
         return beta / (beta + lam * np.power(np.asarray(n, dtype=float), b))
 
 
-def _tail_integral(beta: float, b: float, lam: float, a: float) -> float:
-    """int_a^inf beta/(beta + lambda x**b) dx via the regularized incomplete beta.
+def _tail_integral(full: float, beta: float, b: float, lam: float, a: float) -> float:
+    """int_a^inf beta/(beta + lambda x**b) dx from ``full``, the integral over [0, inf).
 
-    Substituting t = beta/(beta + lambda x**b) turns the tail into an
-    incomplete-beta integral with parameters (1 - 1/b, 1/b); the integral
-    over [0, inf) is ``corrected_bound``.
+    Substituting t = beta/(beta + lambda x**b) makes the tail ``full`` times
+    the regularized incomplete beta with parameters (1 - 1/b, 1/b).
     """
     z = b * math.log(a) + math.log(lam) - math.log(beta)
     t0 = math.exp(-z) if z > 700.0 else 1.0 / (1.0 + math.exp(z))
-    return corrected_bound(beta, b, lam) * float(special.betainc(1.0 - 1.0 / b, 1.0 / b, t0))
-
-
-def _sandwich(beta: float, b: float, lam: float, n: int) -> tuple[float, float]:
-    """Lower tail estimate and rigorous width for sum_{m > n} f(m).
-
-    Valid once f is convex on [n, inf), i.e. n >= ((b-1)/(b+1) * beta/lam)**(1/b):
-    the trapezoid rule overestimates and the midpoint rule underestimates
-    integrals of a convex function, giving
-
-        int_{n+1}^inf f + f(n+1)/2  <=  tail  <=  int_{n+1/2}^inf f.
-    """
-    f_next = float(_decay_fraction(beta, b, lam, n + 1.0))
-    lower = _tail_integral(beta, b, lam, n + 1.0) + 0.5 * f_next
-    upper = _tail_integral(beta, b, lam, n + 0.5)
-    return lower, max(upper - lower, 0.0)
+    return full * float(special.betainc(1.0 - 1.0 / b, 1.0 / b, t0))
 
 
 def _partial_sum(beta: float, b: float, lam: float, n_terms: int) -> float:
@@ -135,10 +119,10 @@ def effective_dimension_exact(
     """N(lambda) = sum_n t_n/(t_n + lambda) for the given spectrum.
 
     Without a decay model only the stored eigenvalues are summed and the
-    truncation error is reported as 0.  With a decay model the infinite
-    series is evaluated: leading terms are summed directly and the tail is
-    pinned between integral bounds until the enclosure is narrower than
-    ``tol``; ``EffDimResult`` says when N lies in [value, value + tol].
+    truncation error is reported as 0.  With a decay model one loop doubles
+    the cutoff n from the convexity point until the integral enclosure of the
+    tail past n is at most ``tol``, then sums the first n terms directly; a
+    cutoff past ``_MAX_DIRECT_TERMS`` raises RuntimeError (see EffDimResult).
     """
     _checks.positive("lambda", lam)
     _checks.positive("tol", tol)
@@ -148,26 +132,26 @@ def effective_dimension_exact(
 
     beta, b = spectrum.decay_model
     # Convexity threshold of x |-> beta/(beta + lambda x**b); the tail
-    # enclosure is only valid past it.
+    # enclosure is only valid past it.  An inflection past the cap (inf when
+    # beta/lambda overflows) starts n past it: nothing is summed, and the full
+    # integral, which can overflow there (b near 1), is not formed.
     inflection = ((b - 1.0) / (b + 1.0) * beta / lam) ** (1.0 / b)
-    if inflection > _MAX_DIRECT_TERMS:
-        raise RuntimeError(
-            f"effective dimension for (beta={beta}, b={b}, lambda={lam}) "
-            f"needs more than {_MAX_DIRECT_TERMS} direct terms"
-        )
-    n = max(16, math.ceil(inflection))
-    while True:
-        tail_lower, width = _sandwich(beta, b, lam, n)
+    n, tried = max(16, math.ceil(min(inflection, _MAX_DIRECT_TERMS + 1))), 0
+    full = corrected_bound(beta, b, lam) if n <= _MAX_DIRECT_TERMS else math.inf
+    while tried < n <= _MAX_DIRECT_TERMS:
+        # f is convex on [n, inf): the trapezoid rule overestimates and the
+        # midpoint rule underestimates its integrals, so
+        #   int_{n+1}^inf f + f(n+1)/2  <=  sum_{m > n} f(m)  <=  int_{n+1/2}^inf f.
+        f_next = float(_decay_fraction(beta, b, lam, n + 1.0))
+        lower = _tail_integral(full, beta, b, lam, n + 1.0) + 0.5 * f_next
+        width = max(_tail_integral(full, beta, b, lam, n + 0.5) - lower, 0.0)
         if width <= tol:
-            break
-        if n >= _MAX_DIRECT_TERMS:
-            raise RuntimeError(
-                f"effective dimension for (beta={beta}, b={b}, lambda={lam}) "
-                f"needs more than {_MAX_DIRECT_TERMS} direct terms for tol={tol}"
-            )
-        n = min(2 * n, _MAX_DIRECT_TERMS)
-    value = _partial_sum(beta, b, lam, n) + tail_lower
-    return EffDimResult(value, width, n)
+            return EffDimResult(_partial_sum(beta, b, lam, n) + lower, width, n)
+        tried, n = n, min(2 * n, _MAX_DIRECT_TERMS)
+    raise RuntimeError(
+        f"effective dimension for (beta={beta}, b={b}, lambda={lam}) "
+        f"needs more than {_MAX_DIRECT_TERMS} direct terms for tol={tol}"
+    )
 
 
 def corrected_bound(beta: float, b: float, lam: float) -> float:

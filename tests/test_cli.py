@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,8 @@ class TestSimulateCommand:
     def test_runs_and_writes_outputs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path / "run.cfg")
+        Path("report.csv").write_text("old report\n", encoding="utf-8")
+        os.chmod("report.csv", 0o640)
         code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
         assert code == 0
         assert (tmp_path / "records.txt").exists()
@@ -221,6 +224,38 @@ class TestSimulateCommand:
         assert "fitted slope" in out
         lines = (tmp_path / "records.txt").read_text().splitlines()
         assert len(lines) == 3 * 2  # 3 grid points x 2 repetitions
+        # the modes open(path, "w") gives: a new file's from the umask, an old file's kept
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat("records.txt").st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(os.stat("report.csv").st_mode) == 0o640
+        assert sorted(os.listdir()) == ["records.txt", "report.csv", "run.cfg"]
+
+    def test_failed_write_keeps_neither_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "run.cfg")
+        Path("records.txt").write_bytes(b"old records\n")
+
+        def unwritable(*args):
+            raise OSError("synthetic report failure")
+
+        monkeypatch.setattr(experiments, "write_report_csv", unwritable)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: synthetic report failure\n"
+        assert Path("records.txt").read_bytes() == b"old records\n"
+        assert sorted(os.listdir()) == ["records.txt", "run.cfg"]
+
+    def test_symlinked_output_is_written_through(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("out")
+        os.symlink("out/records.txt", "records.txt")
+        config = write_config(tmp_path / "run.cfg")
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 0
+        assert os.path.islink("records.txt")
+        assert len(Path("out/records.txt").read_text().splitlines()) == 3 * 2
+        assert os.listdir("out") == ["records.txt"]
 
     def test_c_one_prints_log_factor_note(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -221,11 +221,6 @@ class TestEffDimConvergence:
             assert all(b <= a for a, b in zip(seq, seq[1:]))
         assert res.per_repetition.shape == (3, 3)
 
-    def test_rejects_empty_grid(self):
-        model = build_model(1.0, 2.0, 8)
-        with pytest.raises(ValueError, match="nonempty"):
-            effdim_convergence_experiment(model, [], ell=10, repetitions=1, seed=0)
-
     @pytest.mark.parametrize("ell", [40, 300])
     def test_repetitions_match_gram_eigensolve(self, ell):
         model = build_model(1.0, 2.0, 64)
