@@ -20,6 +20,18 @@ def nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def noise_scale(sigma: float) -> None:
+    """sigma >= 0, and the noise range [-sigma*sqrt(3), sigma*sqrt(3)] has a finite width.
+
+    The width is formed as numpy's uniform sampler forms high - low, so the
+    two agree at the boundary.
+    """
+    nonnegative("sigma", sigma)
+    bound = float(sigma) * math.sqrt(3.0)
+    if not math.isfinite(bound - (-bound)):
+        raise ValueError(f"sigma must keep the noise range 2*sqrt(3)*sigma finite, got {sigma}")
+
+
 def at_least_one(name: str, value: float) -> None:
     if not value >= 1:
         raise ValueError(f"{name} must be >= 1, got {value}")

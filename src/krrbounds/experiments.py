@@ -68,7 +68,7 @@ class RateSweepConfig:
         _checks.decay_exponent(self.b, finite=True)
         _checks.source_degree(self.c)
         _checks.positive("beta", self.beta)
-        _checks.nonnegative("sigma", self.sigma)
+        _checks.noise_scale(self.sigma)
         if not self.ell_grid:
             raise ValueError("ell_grid must be nonempty")
         for ell in self.ell_grid:
@@ -103,8 +103,8 @@ class RateExperimentRecord:
                 f"lambda {self.lam!r} does not match the schedule value "
                 f"{scheduled!r} for ell={self.ell}"
             )
-        if self.excess_risk < 0:
-            raise ValueError(f"excess_risk must be nonnegative, got {self.excess_risk}")
+        if not 0 <= self.excess_risk < math.inf:
+            raise ValueError(f"excess_risk must be nonnegative and finite, got {self.excess_risk}")
 
 
 # Record lines hold the fields in declaration order; each is parsed back by
@@ -207,8 +207,8 @@ def fit_power_law(points) -> PowerLawFit:
     pts = [(float(ell), float(risk)) for ell, risk in points]
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
-    if any(ell <= 0 or risk <= 0 for ell, risk in pts):
-        raise ValueError("power-law fitting needs strictly positive ell and risk")
+    if not all(0 < ell < math.inf and 0 < risk < math.inf for ell, risk in pts):
+        raise ValueError("power-law fitting needs finite, strictly positive ell and risk")
     x = np.log([ell for ell, _ in pts])
     y = np.log([risk for _, risk in pts])
     slope, intercept = np.polyfit(x, y, 1)

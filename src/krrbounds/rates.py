@@ -64,16 +64,12 @@ class BoundBreakdown:
     lambda_ok: bool
 
 
-def _check_eta(eta: float) -> None:
+def c_eta(eta: float) -> float:
+    """Confidence constant 96 * log(6/eta)**2."""
     # log(6/eta) must stay positive; the statistically meaningful range is
     # (0, 1) but the algebra is used on all of (0, 6), e.g. eta = 6/e.
     if not 0.0 < eta < 6.0:
         raise ValueError(f"eta must lie in (0, 6), got {eta}")
-
-
-def c_eta(eta: float) -> float:
-    """Confidence constant 96 * log(6/eta)**2."""
-    _check_eta(eta)
     return CONFIDENCE_COEFF * math.log(6.0 / eta) ** 2
 
 
@@ -97,7 +93,6 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     """
     _checks.positive("lambda", lam)
     _checks.at_least_one("ell", ell)
-    _check_eta(eta)
     b, c = params.b, params.c
     inv_b = 1.0 / b
     q = q_constant(params.beta, b)

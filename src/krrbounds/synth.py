@@ -131,7 +131,7 @@ def sample_dataset(
     for distinct seeds independent and reproducible in any order.
     """
     _check_same_modes(model, theta)
-    _checks.nonnegative("sigma", sigma)
+    _checks.noise_scale(sigma)
     _checks.at_least_one("ell", ell)
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(0.0, 1.0, size=ell)

@@ -14,7 +14,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import krrbounds.rates
 from krrbounds.cli import load_config, main
@@ -39,6 +38,7 @@ from krrbounds.rates import (
 )
 from krrbounds.spectral import PriorParams, polynomial_spectrum
 from krrbounds.synth import build_model
+from oracles import quad_integral
 
 
 @contextmanager
@@ -49,20 +49,6 @@ def criterion(label):
         print(f"FAIL  {label}")
         raise
     print(f"PASS  {label}")
-
-
-def quad_integral(beta, b):
-    """Adaptive-quadrature value of int_0^inf dt/(beta + t**b).
-
-    Two smooth pieces after scaling out beta: [0, 1] directly, and [1, inf)
-    mapped onto (0, 1] by w = u**(1-b).
-    """
-    head, _ = integrate.quad(lambda u: 1.0 / (1.0 + u**b), 0.0, 1.0,
-                             epsabs=1e-14, epsrel=1e-13)
-    q = b / (b - 1.0)
-    tail, _ = integrate.quad(lambda w: (1.0 / (b - 1.0)) / (1.0 + w**q), 0.0, 1.0,
-                             epsabs=1e-14, epsrel=1e-13)
-    return beta ** ((1.0 - b) / b) * (head + tail)
 
 
 def test_criterion_01_integral_identity():

@@ -29,6 +29,15 @@ def sweep_config(**overrides):
     return experiments.RateSweepConfig(**values)
 
 
+def record(**overrides):
+    values = dict(
+        ell=4, repetition=0, lam=rates.lambda_schedule(2.0, 2.0, 4), excess_risk=0.1, seed=0,
+        b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=8, delta=0.1,
+    )
+    values.update(overrides)
+    return experiments.RateExperimentRecord(**values)
+
+
 def convergence(lambda_grid=(0.1,), ell=4, repetitions=1):
     return experiments.effdim_convergence_experiment(MODEL, lambda_grid, ell, repetitions, 0)
 
@@ -38,14 +47,22 @@ FINITE = "b must be finite"
 C_RANGE = "c must be in [1, 2]"
 AT_LEAST_ONE = "must be >= 1"
 EMPTY_GRID = "lambda_grid must be nonempty"
+POSITIVE_GRID = "every lambda in lambda_grid must be positive"
+NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
 
 # (call, message fragment); each row calls one public entry point of one module.
 CASES = {
     # b <= 1
     "spectral.polynomial_spectrum b": (lambda: spectral.polynomial_spectrum(1.0, 1.0, 4), B_GT_1),
+    "spectral.polynomial_spectrum b 0.5": (
+        lambda: spectral.polynomial_spectrum(1.0, 0.5, 4), B_GT_1),
+    "spectral.polynomial_spectrum b negative": (
+        lambda: spectral.polynomial_spectrum(1.0, -2.0, 4), B_GT_1),
     "spectral.q_constant b": (lambda: spectral.q_constant(1.0, 0.5), B_GT_1),
+    "spectral.q_constant b 1": (lambda: spectral.q_constant(1.0, 1.0), B_GT_1),
     "spectral.PriorParams b": (lambda: prior(b=1.0), B_GT_1),
     "effdim.corrected_bound b": (lambda: effdim.corrected_bound(1.0, 1.0, 0.1), B_GT_1),
+    "effdim.claimed_bound b": (lambda: effdim.claimed_bound(1.0, 1.0, 0.5), B_GT_1),
     "effdim.wrong_inequality_gap b": (lambda: effdim.wrong_inequality_gap(1.0, 1.0), B_GT_1),
     "rates.lambda_schedule b": (lambda: rates.lambda_schedule(1.0, 1.5, 10), B_GT_1),
     "rates.rate_exponent b": (lambda: rates.rate_exponent(-2.0, 1.5), B_GT_1),
@@ -56,6 +73,7 @@ CASES = {
     "spectral.polynomial_spectrum inf": (
         lambda: spectral.polynomial_spectrum(1.0, math.inf, 4), FINITE),
     "effdim.claimed_bound inf": (lambda: effdim.claimed_bound(1.0, math.inf, 0.1), FINITE),
+    "effdim.corrected_bound inf": (lambda: effdim.corrected_bound(1.0, math.inf, 0.5), FINITE),
     "effdim.integral_value inf": (lambda: effdim.integral_value(1.0, math.inf), FINITE),
     "effdim.wrong_inequality_threshold inf": (
         lambda: effdim.wrong_inequality_threshold(math.inf), FINITE),
@@ -66,6 +84,7 @@ CASES = {
     "experiments.RateSweepConfig inf": (lambda: sweep_config(b=math.inf), FINITE),
     # c outside [1, 2]
     "spectral.PriorParams c": (lambda: prior(c=0.5), C_RANGE),
+    "spectral.PriorParams c above": (lambda: prior(c=2.5), C_RANGE),
     "rates.lambda_schedule c": (lambda: rates.lambda_schedule(2.0, 2.5, 10), C_RANGE),
     "rates.dominance_margins c": (lambda: rates.dominance_margins(2.0, 0.9), C_RANGE),
     "synth.make_target c": (lambda: synth.make_target(MODEL, 2.5, R=1.0), C_RANGE),
@@ -87,6 +106,8 @@ CASES = {
         lambda: rates.min_ell_for_condition(prior(), 0.1, 0.0), "eta must lie in (0, 6)"),
     "rates.min_sample_size eta": (
         lambda: rates.min_sample_size(prior(), 6.0), "eta must lie in (0, 6)"),
+    "rates.risk_bound eta": (
+        lambda: rates.risk_bound(prior(), 0.1, 10, 7.5), "eta must lie in (0, 6)"),
     # lambda <= 0
     "effdim.effective_dimension_exact lambda": (
         lambda: effdim.effective_dimension_exact(SPECTRUM, 0.0), "lambda must be positive"),
@@ -100,6 +121,10 @@ CASES = {
         lambda: krr.krr_fit(np.eye(2), np.ones(2), 0.0), "lambda must be positive"),
     "krr.krr_fit_factored lambda": (
         lambda: krr.krr_fit_factored(MODEL.basis(XS), MODEL.eigenvalues, np.ones(4), 0.0),
+        "lambda must be positive"),
+    "krr.krr_fit_factored lambda primal": (
+        lambda: krr.krr_fit_factored(
+            MODEL.basis(np.linspace(0.1, 0.9, 16)), MODEL.eigenvalues, np.ones(16), 0.0),
         "lambda must be positive"),
     # R, delta, tol <= 0
     "spectral.PriorParams R": (lambda: prior(R=0.0), "R must be positive"),
@@ -119,6 +144,11 @@ CASES = {
         lambda: synth.sample_dataset(MODEL, TARGET, math.nan, 4, 0), "sigma must be nonnegative"),
     "experiments.RateSweepConfig sigma": (
         lambda: sweep_config(sigma=-1.0), "sigma must be nonnegative"),
+    # sigma whose noise range 2*sqrt(3)*sigma overflows
+    "synth.sample_dataset sigma inf": (
+        lambda: synth.sample_dataset(MODEL, TARGET, math.inf, 4, 0), NOISE_RANGE),
+    "experiments.RateSweepConfig sigma inf": (
+        lambda: sweep_config(sigma=math.inf), NOISE_RANGE),
     # ell, n_modes, repetitions < 1
     "spectral.polynomial_spectrum n_max": (
         lambda: spectral.polynomial_spectrum(1.0, 2.0, 0), AT_LEAST_ONE),
@@ -127,6 +157,8 @@ CASES = {
     "synth.build_model n_modes": (lambda: synth.build_model(1.0, 2.0, 0), AT_LEAST_ONE),
     "synth.sample_dataset ell": (
         lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 0, 0), AT_LEAST_ONE),
+    "experiments.RateSweepConfig ell_grid empty": (
+        lambda: sweep_config(ell_grid=()), "ell_grid must be nonempty"),
     "experiments.RateSweepConfig ell_grid": (
         lambda: sweep_config(ell_grid=(0, 4)), AT_LEAST_ONE),
     "experiments.RateSweepConfig c = 1 ell_grid": (
@@ -148,9 +180,15 @@ CASES = {
         lambda: krr.empirical_effective_dimension_profile(np.eye(2), []), EMPTY_GRID),
     "krr.empirical_effective_dimension_profile nonpositive": (
         lambda: krr.empirical_effective_dimension_profile(np.eye(2), [0.1, -1.0]), "lambda"),
+    "krr.empirical_effective_dimension_profile zero": (
+        lambda: krr.empirical_effective_dimension_profile(np.eye(2), [0.0]), POSITIVE_GRID),
     "krr.empirical_effective_dimension_factored empty": (
         lambda: krr.empirical_effective_dimension_factored(MODEL.basis(XS), MODEL.eigenvalues, []),
         EMPTY_GRID),
+    "krr.empirical_effective_dimension_factored zero": (
+        lambda: krr.empirical_effective_dimension_factored(
+            MODEL.basis(XS), MODEL.eigenvalues, [0.1, 0.0]),
+        POSITIVE_GRID),
     "experiments.effdim_convergence_experiment empty": (
         lambda: convergence(lambda_grid=[]), EMPTY_GRID),
     "experiments.effdim_convergence_experiment nonpositive": (
@@ -169,10 +207,11 @@ CASES = {
         lambda: synth.sample_dataset(MODEL, TARGET[:-1], 0.1, 4, 0),
         "target has 7 coefficients, model has 8 modes"),
     "experiments.RateExperimentRecord excess_risk": (
-        lambda: experiments.RateExperimentRecord(
-            ell=4, repetition=0, lam=rates.lambda_schedule(2.0, 2.0, 4), excess_risk=-1.0,
-            seed=0, b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=8, delta=0.1),
-        "excess_risk must be nonnegative"),
+        lambda: record(excess_risk=-1.0), "excess_risk must be nonnegative"),
+    "experiments.RateExperimentRecord excess_risk inf": (
+        lambda: record(excess_risk=math.inf), "excess_risk must be nonnegative and finite, got inf"),
+    "experiments.RateExperimentRecord excess_risk nan": (
+        lambda: record(excess_risk=math.nan), "excess_risk must be nonnegative and finite, got nan"),
     # aggregation of a sweep
     "experiments.compare_with_theory aggregate": (
         lambda: experiments.compare_with_theory([], 2.0, 2.0, aggregate="max"), "aggregate"),

@@ -264,6 +264,20 @@ class TestSimulateCommand:
         assert code == 0
         assert "note: c = 1 fit ignores the log(ell) factor in the schedule rate" in out
 
+    # pyproject turns warnings into errors; a user's run only prints the overflow
+    # warnings, so they are ignored here to let the cell reach its risk check
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_risk_exits_1_without_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(
+            tmp_path / "run.cfg", beta=1e300, n_modes=8, ell_grid="4,8", repetitions=1, burn_in=0
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: ")
+        assert "excess_risk must be nonnegative and finite" in err
+        assert sorted(os.listdir()) == ["run.cfg"]
+
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
@@ -313,10 +327,11 @@ class TestSimulateCommand:
             ({"report_path": "./records.txt"},
              "report_path './records.txt' is the same file as records_path 'records.txt'"),
             ({"beta": "inf"}, "beta must be finite here, got inf"),
+            ({"sigma": "inf"}, "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"),
         ],
         ids=[
             "c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "same-file",
-            "beta-inf",
+            "beta-inf", "sigma-inf",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_cell(

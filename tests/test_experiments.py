@@ -38,10 +38,6 @@ class TestRateSweep:
         config = small_config(repetitions=1)
         assert rate_sweep(config) == rate_sweep(config)
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError, match="ell_grid"):
-            small_config(ell_grid=())
-
     def test_records_carry_schedule_lambda(self):
         for record in rate_sweep(small_config()):
             assert record.lam == lambda_schedule(2.0, 2.0, record.ell)
@@ -152,6 +148,8 @@ class TestFitPowerLaw:
     def test_rejects_nonpositive_and_short_input(self):
         with pytest.raises(ValueError, match="positive"):
             fit_power_law([(10, 0.0), (20, 1.0)])
+        with pytest.raises(ValueError, match="positive"):
+            fit_power_law([(10, math.nan), (20, 1.0), (40, 0.5)])
         with pytest.raises(ValueError, match="at least 2"):
             fit_power_law([(10, 1.0)])
 

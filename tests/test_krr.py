@@ -67,10 +67,6 @@ class TestGramMatrix:
     def test_single_point(self):
         np.testing.assert_array_equal(gram_matrix([[3.0, 1.0]], [1.0, 4.0]), [[13.0]])
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one row"):
-            gram_matrix(np.ones((0, 2)), np.ones(2))
-
     def test_precomputed_features_match(self):
         # a dataset's features give the Gram matrix of its inputs, bit for bit
         model, _, data = factored_problem(2.0, 20)
@@ -147,10 +143,6 @@ class TestKrrFit:
         with pytest.raises(ValueError, match="symmetric"):
             krr_fit(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]), 0.1)
 
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError, match="lambda"):
-            krr_fit(np.eye(2), np.array([1.0, 1.0]), 0.0)
-
     def test_rejects_nan_gram(self):
         with pytest.raises(ValueError, match="symmetric"):
             krr_fit(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([1.0, 1.0]), 0.1)
@@ -217,12 +209,6 @@ class TestKrrFitFactored:
         with pytest.raises(RuntimeError, match="residual"):
             krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.01)
 
-    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
-    def test_rejects_nonpositive_lambda(self, ell):
-        model, _, data = factored_problem(2.0, ell)
-        with pytest.raises(ValueError, match="lambda"):
-            krr_fit_factored(data.features, model.eigenvalues, data.ys, 0.0)
-
 
 class TestEmpiricalEffectiveDimension:
     def test_identity_gram(self):
@@ -249,10 +235,6 @@ class TestEmpiricalEffectiveDimension:
         assert np.all(values >= 0)
         assert np.all(values < 25)
 
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            empirical_effective_dimension(np.eye(2), 0.0)
-
     @pytest.mark.parametrize("ell", [N_MODES // 2, N_MODES, 4 * N_MODES])
     def test_factored_matches_gram_eigensolve(self, ell):
         model, _, data = factored_problem(2.0, ell)
@@ -261,9 +243,3 @@ class TestEmpiricalEffectiveDimension:
         expected = empirical_effective_dimension_profile(gram, lams)
         got = empirical_effective_dimension_factored(data.features, model.eigenvalues, lams)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
-
-    @pytest.mark.parametrize("ell", [N_MODES // 2, 4 * N_MODES])
-    def test_factored_rejects_nonpositive_lambda(self, ell):
-        model, _, data = factored_problem(2.0, ell)
-        with pytest.raises(ValueError, match="lambda"):
-            empirical_effective_dimension_factored(data.features, model.eigenvalues, [0.1, 0.0])
