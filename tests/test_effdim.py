@@ -176,6 +176,12 @@ class TestWrongInequality:
         assert wrong_inequality_threshold(2.0) == pytest.approx(math.pi**2 / 16, rel=1e-14)
 
     @pytest.mark.parametrize("b", [1.2, 1.5, 2.0, 3.0, 5.0])
+    def test_bisection_matches_closed_form(self, b):
+        bisected = find_wrong_inequality_threshold(b)
+        closed = wrong_inequality_threshold(b)
+        assert bisected == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("b", [1.2, 1.5, 2.0, 3.0, 5.0])
     def test_gap_positive_below_threshold(self, b):
         threshold = wrong_inequality_threshold(b)
         for frac in (0.9, 0.5, 0.1):
