@@ -16,6 +16,7 @@ effective dimension is read from the eigenvalues of A^T A.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy import linalg
@@ -144,7 +145,7 @@ def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: floa
 
     Both have trace(K), so the one logged jitter retry adds the same
     1e-12 * trace(K)/ell on either side.  The residual is checked against
-    ||rhs||.
+    ||rhs||; a bound that is not finite, or a residual that is NaN, fails it.
     """
     size = gram.shape[0]
     shifted = gram + ell * lam * np.eye(size)
@@ -161,9 +162,10 @@ def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: floa
         )
 
     residual = float(np.linalg.norm(shifted @ solution - rhs))
-    if residual > _RESIDUAL_RTOL * float(np.linalg.norm(rhs)):
+    bound = _RESIDUAL_RTOL * float(np.linalg.norm(rhs))
+    if not (math.isfinite(bound) and residual <= bound):
         raise RuntimeError(
-            f"ridge solve residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_RTOL:.0e} * ||rhs||; system too ill-conditioned"
+            f"ridge solve residual {residual:.3e} is not within "
+            f"{_RESIDUAL_RTOL:.0e} * ||rhs|| = {bound:.3e}; system too ill-conditioned"
         )
     return solution

@@ -139,6 +139,13 @@ class TestKrrFit:
         alpha = krr_fit(k, y, 1e-12)
         np.testing.assert_allclose(k @ alpha, y, atol=1e-4)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unevaluable_residual_raises(self):
+        # K @ alpha overflows, so the residual is NaN and cannot be compared
+        k = [[1e308, 0.999e308], [0.999e308, 1e308]]
+        with pytest.raises(RuntimeError, match="residual"):
+            krr_fit(k, [1e306, -1e306], 1e-300)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             krr_fit(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]), 0.1)

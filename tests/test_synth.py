@@ -206,10 +206,3 @@ class TestExactExcessRisk:
         assert exact_excess_risk(target, target) == 0.0
         with pytest.raises(ValueError, match="coefficients"):
             exact_excess_risk(target, target[:-1])
-
-    def test_dimension_mismatch_rejected(self, model):
-        other = build_model(1.0, 2.0, 3)
-        target = make_target(other, 1.5, R=1.0, seed=3)
-        alpha = np.zeros(4)
-        with pytest.raises(ValueError, match="coefficients"):
-            exact_excess_risk(target, fitted_coefficients(model, np.zeros(4), alpha))
