@@ -49,7 +49,8 @@ class RunConfig:
             directory = os.path.dirname(path) or "."
             if not os.path.isdir(directory):
                 raise ValueError(f"{name} directory {directory!r} does not exist")
-            if os.path.isdir(path):
+            # an empty path names the working directory, as realpath("") does
+            if os.path.isdir(path or "."):
                 raise ValueError(f"{name} {path!r}: {os.strerror(errno.EISDIR)}")
         records, report = self.records_path, self.report_path
         # realpath sees symlinks, dangling ones too; samefile sees hard links

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import math
 import statistics
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .spectral import polynomial_spectrum
 
 __all__ = [
     "TARGET_RADIUS",
-    "RECORD_FIELDS",
     "RateSweepConfig",
     "RateExperimentRecord",
     "PowerLawFit",
@@ -39,7 +37,6 @@ __all__ = [
     "compare_with_theory",
     "effdim_convergence_experiment",
     "write_records",
-    "read_records",
     "write_report_csv",
 ]
 
@@ -105,13 +102,6 @@ class RateExperimentRecord:
             )
         if not 0 <= self.excess_risk < math.inf:
             raise ValueError(f"excess_risk must be nonnegative and finite, got {self.excess_risk}")
-
-
-# Record lines hold the fields in declaration order; each is parsed back by
-# its annotated type.
-_RECORD_TYPES = typing.get_type_hints(RateExperimentRecord)
-_RECORD_ATTRS = tuple(f.name for f in dataclasses.fields(RateExperimentRecord))
-RECORD_FIELDS = tuple("lambda" if name == "lam" else name for name in _RECORD_ATTRS)
 
 
 @dataclass(frozen=True)
@@ -293,27 +283,9 @@ def effdim_convergence_experiment(
 
 
 def write_records(records, path) -> None:
-    """One record per line, comma-separated in RECORD_FIELDS order, full precision."""
+    """One record per line, comma-separated fields in declaration order, full precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(dataclasses.astuple(r) for r in records)
-
-
-def read_records(path) -> list[RateExperimentRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for parts in csv.reader(fh):
-            if not "".join(parts).strip():
-                continue
-            if len(parts) != len(RECORD_FIELDS):
-                raise ValueError(
-                    f"record line has {len(parts)} fields, expected {len(RECORD_FIELDS)}"
-                )
-            records.append(
-                RateExperimentRecord(
-                    **{name: _RECORD_TYPES[name](part) for name, part in zip(_RECORD_ATTRS, parts)}
-                )
-            )
-    return records
 
 
 def write_report_csv(comparison: RateComparison, path) -> None:

@@ -161,8 +161,9 @@ def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: floa
             linalg.cho_factor(shifted + jitter * np.eye(size), lower=True), rhs
         )
 
-    residual = float(np.linalg.norm(shifted @ solution - rhs))
-    bound = _RESIDUAL_RTOL * float(np.linalg.norm(rhs))
+    # BLAS nrm2 scales its input, so neither norm overflows before its value does
+    residual = float(linalg.norm(shifted @ solution - rhs, check_finite=False))
+    bound = _RESIDUAL_RTOL * float(linalg.norm(rhs, check_finite=False))
     if not (math.isfinite(bound) and residual <= bound):
         raise RuntimeError(
             f"ridge solve residual {residual:.3e} is not within "

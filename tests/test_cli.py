@@ -265,8 +265,8 @@ class TestSimulateCommand:
         assert "note: c = 1 fit ignores the log(ell) factor in the schedule rate" in out
 
     # pyproject turns warnings into errors; a user's run only prints the overflow
-    # warnings, so they are ignored here to let the cell reach the ridge solve's
-    # residual check, which cannot be evaluated at this beta and so rejects the cell
+    # warnings, so they are ignored here to let the cell pass the ridge solve's
+    # residual check and reach the record's check of its infinite excess risk
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_risk_exits_1_without_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -276,7 +276,7 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(config))
         assert (code, out) == (1, "")
         assert err.startswith("numerical failure: ")
-        assert "ridge solve residual" in err
+        assert "excess_risk must be nonnegative and finite" in err
         assert sorted(os.listdir()) == ["run.cfg"]
 
     def test_missing_config_exit_2(self, capsys, tmp_path):
@@ -325,14 +325,16 @@ class TestSimulateCommand:
              "records_path directory 'absent' does not exist"),
             ({"report_path": "absent/report.csv"}, "report_path directory 'absent' does not exist"),
             ({"report_path": "."}, "report_path '.': Is a directory"),
+            ({"records_path": ""}, "records_path '': Is a directory"),
+            ({"report_path": ""}, "report_path '': Is a directory"),
             ({"report_path": "./records.txt"},
              "report_path './records.txt' is the same file as records_path 'records.txt'"),
             ({"beta": "inf"}, "beta must be finite here, got inf"),
             ({"sigma": "inf"}, "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"),
         ],
         ids=[
-            "c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "same-file",
-            "beta-inf", "sigma-inf",
+            "c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "records-empty",
+            "report-empty", "same-file", "beta-inf", "sigma-inf",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_cell(

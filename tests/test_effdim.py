@@ -68,6 +68,15 @@ class TestEffectiveDimensionExact:
         # value is the lower end of the enclosure
         assert res.value <= N_BETA01_B2_LAM1E3 + 1e-12
 
+    @pytest.mark.parametrize("b", [254.0, 300.0])
+    def test_tail_past_exp_overflow(self, b):
+        # at 16 terms the tail's z = b * log(17) exceeds 709.78, past which
+        # math.exp(z) raises OverflowError; the tail takes exp(-z) instead
+        res = effective_dimension_exact(polynomial_spectrum(1.0, b, 1), 1.0)
+        assert res.value == 0.5
+        assert res.truncation_error_bound == 0.0
+        assert res.terms_summed == 16
+
     @given(
         beta=st.floats(1e-2, 10.0),
         b=st.floats(1.2, 20.0),

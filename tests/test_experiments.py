@@ -5,7 +5,6 @@ import pytest
 
 from krrbounds.effdim import corrected_bound
 from krrbounds.experiments import (
-    RECORD_FIELDS,
     RateExperimentRecord,
     RateSweepConfig,
     cell_seed,
@@ -13,7 +12,6 @@ from krrbounds.experiments import (
     effdim_convergence_experiment,
     fit_power_law,
     rate_sweep,
-    read_records,
     run_cell,
     write_records,
     write_report_csv,
@@ -236,12 +234,6 @@ class TestEffDimConvergence:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        records = rate_sweep(small_config())
-        path = tmp_path / "records.txt"
-        write_records(records, path)
-        assert read_records(path) == records
-
     def test_line_format_fixed_field_order(self, tmp_path):
         records = rate_sweep(small_config(repetitions=1))
         path = tmp_path / "records.txt"
@@ -267,17 +259,6 @@ class TestPersistence:
             b"64,3,0.18946457081379975,0.012345678901234567,9007199254740993,"
             b"2.0,2.0,1.0,0.1,512,0.1\n"
         )
-        assert read_records(path) == [record]
-        assert RECORD_FIELDS == (
-            "ell", "repetition", "lambda", "excess_risk", "seed",
-            "b", "c", "beta", "sigma", "n_modes", "delta",
-        )
-
-    def test_wrong_field_count_rejected(self, tmp_path):
-        path = tmp_path / "records.txt"
-        path.write_text("64,3,0.18946457081379975\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="record line has 3 fields, expected 11"):
-            read_records(path)
 
     def test_report_csv_has_header(self, tmp_path):
         records = rate_sweep(small_config())
@@ -304,7 +285,7 @@ class TestPersistence:
             typed_bytes = (tmp_path / f"typed.{suffix}").read_bytes()
             assert typed_bytes == (tmp_path / f"plain.{suffix}").read_bytes()
             assert b"np." not in typed_bytes
-        assert read_records(tmp_path / "typed.txt") == records["typed"] == records["plain"]
+        assert records["typed"] == records["plain"]
 
 
 class TestRecordValidation:

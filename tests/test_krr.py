@@ -146,6 +146,11 @@ class TestKrrFit:
         with pytest.raises(RuntimeError, match="residual"):
             krr_fit(k, [1e306, -1e306], 1e-300)
 
+    def test_large_accurate_solve_passes_residual_check(self):
+        # squaring 1e160 overflows, so an unscaled ||rhs|| would read inf
+        alpha = krr_fit(np.diag([1e160, 1e160]), [1e160, 1e160], 1e-300)
+        np.testing.assert_allclose(alpha, [1.0, 1.0], rtol=1e-15)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             krr_fit(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]), 0.1)
