@@ -15,6 +15,13 @@ def positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def positive_finite(name: str, value: float) -> None:
+    """value > 0 with positive's message, then value < inf."""
+    positive(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def nonnegative(name: str, value: float) -> None:
     if not value >= 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -51,12 +58,12 @@ def source_degree(c: float) -> None:
 
 
 def lambda_grid(lambdas) -> list[float]:
-    """The grid as a nonempty list of positive floats."""
+    """The grid as a nonempty list of positive finite floats."""
     lams = [float(lam) for lam in lambdas]
     if not lams:
         raise ValueError("lambda_grid must be nonempty")
     for lam in lams:
-        positive("every lambda in lambda_grid", lam)
+        positive_finite("every lambda in lambda_grid", lam)
     return lams
 
 

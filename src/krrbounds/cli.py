@@ -154,7 +154,10 @@ def _cmd_effdim(args) -> int:
         )
         return 0
     names = {"exact": row.exact, "corrected": row.corrected, "claimed": row.claimed}
-    ordering = " < ".join(sorted(names, key=names.get))
+    ordered = sorted(names, key=names.get)
+    ordering = ordered[0]
+    for low, high in zip(ordered, ordered[1:]):
+        ordering += (" = " if names[low] == names[high] else " < ") + high
     print(f"effective dimension at beta={args.beta} b={args.b} lambda={args.lam}")
     print(f"  exact N(lambda)  = {_fmt(row.exact)}")
     print(f"  terms summed     = {row.terms_summed}")
@@ -172,6 +175,7 @@ def _cmd_bounds_figure(args) -> int:
     _checks.at_least_one("--points", args.points)
     if not 0 < args.lambda_min <= args.lambda_max:
         raise ValueError("need 0 < --lambda-min <= --lambda-max")
+    _checks.positive_finite("--lambda-max", args.lambda_max)
     grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     rows = effdim.bound_comparison_table(args.beta, args.b, grid, tol=args.tol)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

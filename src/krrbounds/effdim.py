@@ -48,7 +48,8 @@ DEFAULT_TOL = 1e-9
 # combinations far outside the documented parameter ranges.
 _MAX_DIRECT_TERMS = 1 << 26
 
-_SUM_CHUNK = 1 << 22
+# Terms per block of the direct sum: its two float64 buffers (256 KB) stay in cache.
+_SUM_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,26 @@ def _tail_integral(full: float, beta: float, b: float, lam: float, a: float) -> 
 
 
 def _partial_sum(beta: float, b: float, lam: float, n_terms: int) -> float:
-    chunks = []
-    start = 1
-    while start <= n_terms:
-        stop = min(start + _SUM_CHUNK - 1, n_terms)
-        n = np.arange(start, stop + 1, dtype=float)
-        chunks.append(float(np.sum(_decay_fraction(beta, b, lam, n))))
-        start = stop + 1
-    return math.fsum(chunks)
+    """sum_{m=1}^{n_terms} f(m), as _decay_fraction forms f, in blocks of _SUM_CHUNK terms.
+
+    One index block and one work buffer are reused in place, so memory stays
+    at two blocks however many terms are summed; math.fsum adds the block sums.
+    A sum of at most _SUM_CHUNK terms is one block: np.sum of _decay_fraction's
+    terms, bit for bit.
+    """
+    index = np.arange(1.0, min(n_terms, _SUM_CHUNK) + 1.0)
+    work = np.empty_like(index)
+    sums = []
+    with np.errstate(over="ignore"):
+        for offset in range(0, n_terms, _SUM_CHUNK):
+            m = work[: min(_SUM_CHUNK, n_terms - offset)]
+            np.add(index[: m.size], offset, out=m)
+            np.power(m, b, out=m)
+            np.multiply(m, lam, out=m)
+            np.add(m, beta, out=m)
+            np.divide(beta, m, out=m)
+            sums.append(float(np.sum(m)))
+    return math.fsum(sums)
 
 
 def effective_dimension_exact(
@@ -124,7 +137,7 @@ def effective_dimension_exact(
     tail past n is at most ``tol``, then sums the first n terms directly; a
     cutoff past ``_MAX_DIRECT_TERMS`` raises RuntimeError (see EffDimResult).
     """
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
     _checks.positive("tol", tol)
     if spectrum.decay_model is None:
         t = spectrum.eigenvalues
@@ -162,7 +175,7 @@ def corrected_bound(beta: float, b: float, lam: float) -> float:
     b = inf the coefficient degenerates to beta with no lambda dependence.
     """
     _checks.decay_exponent(b, finite=True)
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
     return q_constant(beta, b) * lam ** (-1.0 / b)
 
 
@@ -175,7 +188,7 @@ def claimed_bound(beta: float, b: float, lam: float) -> float:
     """
     _checks.positive("beta", beta)
     _checks.decay_exponent(b, finite=True)
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
     return beta * b / (b - 1.0) * lam ** (-1.0 / b)
 
 

@@ -48,6 +48,8 @@ C_RANGE = "c must be in [1, 2]"
 AT_LEAST_ONE = "must be >= 1"
 EMPTY_GRID = "lambda_grid must be nonempty"
 POSITIVE_GRID = "every lambda in lambda_grid must be positive"
+LAMBDA_FINITE = "lambda must be finite, got inf"
+FINITE_GRID = "every lambda in lambda_grid must be finite, got inf"
 NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
 
 # (call, message fragment); each row calls one public entry point of one module.
@@ -126,6 +128,23 @@ CASES = {
         lambda: krr.krr_fit_factored(
             MODEL.basis(np.linspace(0.1, 0.9, 16)), MODEL.eigenvalues, np.ones(16), 0.0),
         "lambda must be positive"),
+    # lambda = inf
+    "effdim.effective_dimension_exact lambda inf": (
+        lambda: effdim.effective_dimension_exact(SPECTRUM, math.inf), LAMBDA_FINITE),
+    "effdim.corrected_bound lambda inf": (
+        lambda: effdim.corrected_bound(1.0, 2.0, math.inf), LAMBDA_FINITE),
+    "effdim.claimed_bound lambda inf": (
+        lambda: effdim.claimed_bound(1.0, 2.0, math.inf), LAMBDA_FINITE),
+    "effdim.bound_comparison_table lambda inf": (
+        lambda: effdim.bound_comparison_table(1.0, 2.0, [0.1, math.inf]), FINITE_GRID),
+    "krr.empirical_effective_dimension_profile lambda inf": (
+        lambda: krr.empirical_effective_dimension_profile(np.eye(2), [math.inf]), FINITE_GRID),
+    "krr.empirical_effective_dimension_factored lambda inf": (
+        lambda: krr.empirical_effective_dimension_factored(
+            MODEL.basis(XS), MODEL.eigenvalues, [math.inf]),
+        FINITE_GRID),
+    "experiments.effdim_convergence_experiment lambda inf": (
+        lambda: convergence(lambda_grid=[math.inf]), FINITE_GRID),
     # R, delta, tol <= 0
     "spectral.PriorParams R": (lambda: prior(R=0.0), "R must be positive"),
     "synth.make_target R": (lambda: synth.make_target(MODEL, 1.5, R=0.0), "R must be positive"),

@@ -84,6 +84,20 @@ class TestEffdimCommand:
         assert code == 2
         assert "lambda" in err
 
+    def test_infinite_lambda_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: every lambda in lambda_grid must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_equal_bounds_joined_with_equals(self, capsys):
+        # b = 1e300 makes both bound constants round to beta = 1 at lambda = 1
+        code, out, _ = run_cli(capsys, "effdim", "--beta", "1", "--b", "1e300", "--lambda", "1")
+        assert code == 0
+        assert "corrected bound  = 1.0 " in out and "claimed bound    = 1.0 " in out
+        assert out.endswith("  ordering: exact < corrected = claimed\n")
+
     def test_b_one_usage_error_names_constraint(self, capsys):
         code, _, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "1", "--lambda", "1e-3")
         assert code == 2
@@ -150,6 +164,17 @@ class TestBoundsFigureCommand:
         assert (code, out) == (2, "")
         assert "need 0 < --lambda-min <= --lambda-max" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "bounds", [("--lambda-max", "inf"), ("--lambda-min", "inf", "--lambda-max", "inf")],
+        ids=["max", "min-and-max"],
+    )
+    def test_infinite_lambda_exits_2_without_output(self, capsys, tmp_path, bounds):
+        out_path = tmp_path / "figure.csv"
+        code, out, err = run_cli(capsys, "bounds-figure", *bounds, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: --lambda-max must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
 
@@ -126,6 +127,33 @@ class TestEffectiveDimensionExact:
             ctx.prec, ctx.traps[Inexact] = 1000, True  # the sum of two floats, exactly
             high = low + Decimal(res.truncation_error_bound)
         assert low <= reference <= high
+
+
+CHUNK = effdim._SUM_CHUNK
+
+
+class TestPartialSum:
+    @pytest.mark.parametrize("b", [1.1, 2.0])
+    @pytest.mark.parametrize("n_terms", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17])
+    def test_matches_termwise_fsum(self, b, n_terms):
+        # at lambda = 1e-6 neighbouring terms differ by more than 1e-6, so a
+        # block offset that is off by one moves the sum by far more than rel 1e-13
+        lam = 1e-6
+        terms = [1.0 / (1.0 + lam * float(m) ** b) for m in range(1, n_terms + 1)]
+        assert effdim._partial_sum(1.0, b, lam, n_terms) == pytest.approx(
+            math.fsum(terms), rel=1e-13
+        )
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # 4,579,072 terms; numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            res = effective_dimension_exact(polynomial_spectrum(1.0, 1.1, 1), 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.terms_summed == 4_579_072
+        assert peak < 4_000_000
 
 
 class TestCorrectedBound:
