@@ -129,20 +129,15 @@ def _partial_sum(beta: float, b: float, lam: float, n_terms: int) -> float:
 def effective_dimension_exact(
     spectrum: Spectrum, lam: float, tol: float = DEFAULT_TOL
 ) -> EffDimResult:
-    """N(lambda) = sum_n t_n/(t_n + lambda) for the given spectrum.
+    """N(lambda) = sum_n t_n/(t_n + lambda) over the spectrum's infinite decay model.
 
-    Without a decay model only the stored eigenvalues are summed and the
-    truncation error is reported as 0.  With a decay model one loop doubles
-    the cutoff n from the convexity point until the integral enclosure of the
-    tail past n is at most ``tol``, then sums the first n terms directly; a
-    cutoff past ``_MAX_DIRECT_TERMS`` raises RuntimeError (see EffDimResult).
+    One loop doubles the cutoff n from the convexity point until the
+    integral enclosure of the tail past n is at most ``tol``, then sums the
+    first n terms directly; a cutoff past ``_MAX_DIRECT_TERMS`` raises
+    RuntimeError (see EffDimResult).
     """
     _checks.positive_finite("lambda", lam)
     _checks.positive("tol", tol)
-    if spectrum.decay_model is None:
-        t = spectrum.eigenvalues
-        return EffDimResult(float(np.sum(t / (t + lam))), 0.0, int(t.size))
-
     beta, b = spectrum.decay_model
     # Convexity threshold of x |-> beta/(beta + lambda x**b); the tail
     # enclosure is only valid past it.  An inflection past the cap (inf when
@@ -240,8 +235,7 @@ def bound_comparison_table(
 ) -> list[BoundComparisonRow]:
     """One (lambda, exact, corrected, claimed) row per grid value."""
     lams = _checks.lambda_grid(lambda_grid)
-    # minimal stored prefix; the decay model drives the exact computation
-    spectrum = polynomial_spectrum(beta, b, 1)
+    spectrum = polynomial_spectrum(beta, b)
     rows = []
     for lam in lams:
         exact = effective_dimension_exact(spectrum, lam, tol)

@@ -269,7 +269,7 @@ def effdim_convergence_experiment(
         per_rep[rep] = krr.empirical_effective_dimension_factored(
             model.basis(xs), model.eigenvalues, lams
         )
-    spectrum = polynomial_spectrum(model.beta, model.b, 1)
+    spectrum = polynomial_spectrum(model.beta, model.b)
     rows = tuple(
         (
             lam,

@@ -137,7 +137,7 @@ def _factors(features, weights) -> tuple[np.ndarray, np.ndarray]:
 def _check_targets(y: np.ndarray, ell: int, lam: float) -> None:
     if y.shape != (ell,):
         raise ValueError(f"y must have shape ({ell},), got {y.shape}")
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
 
 
 def _ridge_cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ell: int, lam: float) -> np.ndarray:

@@ -79,7 +79,7 @@ def min_ell_for_condition(params: PriorParams, lam: float, eta: float) -> float:
     Returns 2 C_eta kappa Q lambda**(-(b+1)/b); callers round up to an
     integer.  For b = inf the exponent degenerates to -1.
     """
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
     q = q_constant(params.beta, params.b)
     inv_b = 1.0 / params.b
     return 2.0 * c_eta(eta) * params.kappa * q * lam ** -(1.0 + inv_b)
@@ -91,7 +91,7 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     Invalid side conditions are reported through the flags, never as
     errors, so the bound surface can be plotted wherever it is finite.
     """
-    _checks.positive("lambda", lam)
+    _checks.positive_finite("lambda", lam)
     _checks.at_least_one("ell", ell)
     b, c = params.b, params.c
     inv_b = 1.0 / b

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _checks
 
 __all__ = ["PriorParams", "Spectrum", "polynomial_spectrum", "q_constant"]
@@ -26,39 +24,24 @@ __all__ = ["PriorParams", "Spectrum", "polynomial_spectrum", "q_constant"]
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Truncated nonincreasing sequence of positive operator eigenvalues.
+    """The decay model t_n = beta * n**-b of an operator's eigenvalues.
 
-    ``decay_model``, when present, is the ``(beta, b)`` pair generating
-    ``eigenvalues[n-1] = beta * n**-b``; consumers that need the infinite
-    tail (the effective-dimension computation) use it to treat the tail
-    analytically instead of materialising huge arrays.  beta and b must be
-    finite here: an infinite beta makes every eigenvalue infinite, and an
-    infinite exponent would zero out every eigenvalue past the first.
+    ``decay_model`` is the ``(beta, b)`` pair; no eigenvalue is stored.
+    Consumers that need the infinite tail (the effective-dimension
+    computation) treat it analytically, and ``synth.build_model`` forms the
+    first n_modes values.  beta and b must be finite here: an infinite beta
+    makes every eigenvalue infinite, and an infinite exponent would zero out
+    every eigenvalue past the first.
     """
 
-    eigenvalues: np.ndarray
-    decay_model: tuple[float, float] | None = None
+    decay_model: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.decay_model is not None:
-            beta, b = self.decay_model
-            _checks.positive("beta", beta)
-            if not math.isfinite(beta):
-                raise ValueError(f"beta must be finite here, got {beta}")
-            _checks.decay_exponent(b, finite=True)
-        eig = np.array(self.eigenvalues, dtype=float)
-        if eig.ndim != 1 or eig.size == 0:
-            raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if not np.all(eig > 0):
-            raise ValueError("eigenvalues must be strictly positive")
-        if np.any(np.diff(eig) > 0):
-            raise ValueError("eigenvalues must be nonincreasing")
-        if self.decay_model is not None:
-            n = np.arange(1, eig.size + 1, dtype=float)
-            if not np.allclose(eig, beta * n**-b, rtol=1e-14, atol=0.0):
-                raise ValueError("eigenvalues deviate from beta * n**-b decay model")
-        eig.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eig)
+        beta, b = self.decay_model
+        _checks.positive("beta", beta)
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite here, got {beta}")
+        _checks.decay_exponent(b, finite=True)
 
 
 @dataclass(frozen=True)
@@ -91,12 +74,9 @@ class PriorParams:
             _checks.positive(name, getattr(self, name))
 
 
-def polynomial_spectrum(beta: float, b: float, n_max: int) -> Spectrum:
-    """First ``n_max`` eigenvalues t_n = beta * n**-b, with the decay model attached."""
-    _checks.at_least_one("n_max", n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf * 0 needs a beta or b that Spectrum rejects
-        return Spectrum(beta * n**-b, decay_model=(float(beta), float(b)))
+def polynomial_spectrum(beta: float, b: float) -> Spectrum:
+    """The decay model t_n = beta * n**-b."""
+    return Spectrum((float(beta), float(b)))
 
 
 def q_constant(beta: float, b: float) -> float:

@@ -75,10 +75,12 @@ class Dataset:
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
     """Spectral model with eigenvalues beta * n**-b for n = 1..n_modes."""
     _checks.at_least_one("n_modes", n_modes)
-    eigenvalues = polynomial_spectrum(beta, b, n_modes).eigenvalues
+    beta, b = polynomial_spectrum(beta, b).decay_model
+    eigenvalues = beta * np.arange(1, n_modes + 1, dtype=float) ** -b
+    eigenvalues.setflags(write=False)
     kappa = math.sqrt(2.0 * beta * float(special.zeta(b)))
     return SpectralKernelModel(
-        beta=float(beta), b=float(b), n_modes=int(n_modes),
+        beta=beta, b=b, n_modes=int(n_modes),
         eigenvalues=eigenvalues, kappa=kappa,
     )
 

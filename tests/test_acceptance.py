@@ -70,7 +70,7 @@ def test_criterion_02_dominance_and_tightness():
             beta = 10.0 ** rng.uniform(-3.0, 1.0)
             b = np.nextafter(rng.uniform(1.0, 20.0), 21.0)
             lam = 10.0 ** rng.uniform(-6.0, 0.0)
-            exact = effective_dimension_exact(polynomial_spectrum(beta, b, 1), lam, 1e-9).value
+            exact = effective_dimension_exact(polynomial_spectrum(beta, b), lam, 1e-9).value
             bound = corrected_bound(beta, b, lam)
             assert exact <= bound, (beta, b, lam)
             assert 0.0 <= bound - exact <= 1.0 + 1e-6, (beta, b, lam)

@@ -11,7 +11,7 @@ from krrbounds import effdim, experiments, krr, rates, spectral, synth
 MODEL = synth.build_model(1.0, 2.0, 8)
 TARGET = synth.make_target(MODEL, 1.5, R=1.0)
 XS = np.linspace(0.1, 0.9, 4)
-SPECTRUM = spectral.polynomial_spectrum(1.0, 2.0, 1)
+SPECTRUM = spectral.polynomial_spectrum(1.0, 2.0)
 
 
 def prior(**overrides):
@@ -55,11 +55,11 @@ NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
 # (call, message fragment); each row calls one public entry point of one module.
 CASES = {
     # b <= 1
-    "spectral.polynomial_spectrum b": (lambda: spectral.polynomial_spectrum(1.0, 1.0, 4), B_GT_1),
+    "spectral.polynomial_spectrum b": (lambda: spectral.polynomial_spectrum(1.0, 1.0), B_GT_1),
     "spectral.polynomial_spectrum b 0.5": (
-        lambda: spectral.polynomial_spectrum(1.0, 0.5, 4), B_GT_1),
+        lambda: spectral.polynomial_spectrum(1.0, 0.5), B_GT_1),
     "spectral.polynomial_spectrum b negative": (
-        lambda: spectral.polynomial_spectrum(1.0, -2.0, 4), B_GT_1),
+        lambda: spectral.polynomial_spectrum(1.0, -2.0), B_GT_1),
     "spectral.q_constant b": (lambda: spectral.q_constant(1.0, 0.5), B_GT_1),
     "spectral.q_constant b 1": (lambda: spectral.q_constant(1.0, 1.0), B_GT_1),
     "spectral.PriorParams b": (lambda: prior(b=1.0), B_GT_1),
@@ -73,7 +73,7 @@ CASES = {
     "spectral.q_constant b nan": (lambda: spectral.q_constant(1.0, math.nan), B_GT_1),
     # b = inf where a finite b is required
     "spectral.polynomial_spectrum inf": (
-        lambda: spectral.polynomial_spectrum(1.0, math.inf, 4), FINITE),
+        lambda: spectral.polynomial_spectrum(1.0, math.inf), FINITE),
     "effdim.claimed_bound inf": (lambda: effdim.claimed_bound(1.0, math.inf, 0.1), FINITE),
     "effdim.corrected_bound inf": (lambda: effdim.corrected_bound(1.0, math.inf, 0.5), FINITE),
     "effdim.integral_value inf": (lambda: effdim.integral_value(1.0, math.inf), FINITE),
@@ -93,16 +93,16 @@ CASES = {
     "experiments.RateSweepConfig c": (lambda: sweep_config(c=3.0), C_RANGE),
     # beta <= 0
     "spectral.polynomial_spectrum beta": (
-        lambda: spectral.polynomial_spectrum(0.0, 2.0, 4), "beta must be positive"),
+        lambda: spectral.polynomial_spectrum(0.0, 2.0), "beta must be positive"),
     "spectral.PriorParams beta": (lambda: prior(beta=-1.0), "beta must be positive"),
     "effdim.claimed_bound beta": (
         lambda: effdim.claimed_bound(0.0, 2.0, 0.1), "beta must be positive"),
     "synth.build_model beta": (lambda: synth.build_model(0.0, 2.0, 8), "beta must be positive"),
     "experiments.RateSweepConfig beta": (lambda: sweep_config(beta=0.0), "beta must be positive"),
     "spectral.polynomial_spectrum beta b inf": (
-        lambda: spectral.polynomial_spectrum(0.0, math.inf, 4), "beta must be positive"),
+        lambda: spectral.polynomial_spectrum(0.0, math.inf), "beta must be positive"),
     "spectral.polynomial_spectrum beta inf": (
-        lambda: spectral.polynomial_spectrum(math.inf, 2.0, 4), "beta must be finite here, got inf"),
+        lambda: spectral.polynomial_spectrum(math.inf, 2.0), "beta must be finite here, got inf"),
     # eta outside (0, 6)
     "rates.min_ell_for_condition eta": (
         lambda: rates.min_ell_for_condition(prior(), 0.1, 0.0), "eta must lie in (0, 6)"),
@@ -145,6 +145,19 @@ CASES = {
         FINITE_GRID),
     "experiments.effdim_convergence_experiment lambda inf": (
         lambda: convergence(lambda_grid=[math.inf]), FINITE_GRID),
+    "rates.risk_bound lambda inf": (
+        lambda: rates.risk_bound(prior(), math.inf, 10, 0.05), LAMBDA_FINITE),
+    "rates.min_ell_for_condition lambda inf": (
+        lambda: rates.min_ell_for_condition(prior(), math.inf, 0.05), LAMBDA_FINITE),
+    "krr.krr_fit lambda inf": (
+        lambda: krr.krr_fit(np.eye(2), np.ones(2), math.inf), LAMBDA_FINITE),
+    "krr.krr_fit_factored lambda inf": (
+        lambda: krr.krr_fit_factored(MODEL.basis(XS), MODEL.eigenvalues, np.ones(4), math.inf),
+        LAMBDA_FINITE),
+    "krr.krr_fit_factored lambda inf primal": (
+        lambda: krr.krr_fit_factored(
+            MODEL.basis(np.linspace(0.1, 0.9, 16)), MODEL.eigenvalues, np.ones(16), math.inf),
+        LAMBDA_FINITE),
     # R, delta, tol <= 0
     "spectral.PriorParams R": (lambda: prior(R=0.0), "R must be positive"),
     "synth.make_target R": (lambda: synth.make_target(MODEL, 1.5, R=0.0), "R must be positive"),
@@ -169,8 +182,6 @@ CASES = {
     "experiments.RateSweepConfig sigma inf": (
         lambda: sweep_config(sigma=math.inf), NOISE_RANGE),
     # ell, n_modes, repetitions < 1
-    "spectral.polynomial_spectrum n_max": (
-        lambda: spectral.polynomial_spectrum(1.0, 2.0, 0), AT_LEAST_ONE),
     "rates.risk_bound ell": (lambda: rates.risk_bound(prior(), 0.1, 0.5, 0.05), AT_LEAST_ONE),
     "rates.lambda_schedule ell": (lambda: rates.lambda_schedule(2.0, 1.5, 0), AT_LEAST_ONE),
     "synth.build_model n_modes": (lambda: synth.build_model(1.0, 2.0, 0), AT_LEAST_ONE),
@@ -213,8 +224,6 @@ CASES = {
     "experiments.effdim_convergence_experiment nonpositive": (
         lambda: convergence(lambda_grid=[0.1, 0.0]), "lambda"),
     # malformed arrays and records
-    "spectral.Spectrum empty": (
-        lambda: spectral.Spectrum(np.array([])), "eigenvalues must be a nonempty 1-d sequence"),
     "krr.krr_fit non-square K": (
         lambda: krr.krr_fit(np.ones((2, 3)), np.ones(2), 0.1), "K must be square"),
     "krr.krr_fit y shape": (

@@ -65,7 +65,7 @@ class TestEffdimCommand:
         assert code == 0
         terms = int(re.search(r"terms summed\s+= (\d+)", out).group(1))
         width = float(re.search(r"enclosure width\s+= (\S+)", out).group(1))
-        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0, 1), 1e-3, tol=1e-6)
+        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0), 1e-3, tol=1e-6)
         assert terms == result.terms_summed >= 16
         assert width == result.truncation_error_bound
         assert 0.0 <= width <= 1e-6
@@ -204,6 +204,15 @@ class TestRiskBoundCommand:
         assert code == 0
         effdim_term = float(re.search(r"term_effdim\s+= (\S+)", out).group(1))
         assert effdim_term == pytest.approx(4.0 * 0.7 / 50, rel=1e-12)
+
+    def test_infinite_lambda_exits_2_without_output(self, capsys):
+        code, out, err = run_cli(
+            capsys, "risk-bound", "--b", "2", "--c", "1.5", "--beta", "1",
+            "--alpha", "1", "--R", "1", "--kappa", "1", "--M", "1", "--Sigma", "1",
+            "--lambda", "inf", "--ell", "100", "--eta", "0.05",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: lambda must be finite, got inf\n"
 
 
 class TestScheduleCommand:
@@ -520,6 +529,15 @@ def test_package_import_loads_no_submodule_and_no_numpy():
     code = (
         "import sys, krrbounds; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('krrbounds.')))"
+    )
+    assert fresh_import(code) == "[]"
+
+
+@pytest.mark.parametrize("module", ["spectral", "rates"])
+def test_pure_math_module_loads_no_numpy_or_scipy(module):
+    code = (
+        f"import sys, krrbounds.{module}; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     )
     assert fresh_import(code) == "[]"
 

@@ -5,7 +5,6 @@ from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,7 @@ from krrbounds.effdim import (
     wrong_inequality_gap,
     wrong_inequality_threshold,
 )
-from krrbounds.spectral import Spectrum, polynomial_spectrum
+from krrbounds.spectral import polynomial_spectrum
 from oracles import quad_integral
 
 # Closed form for b = 2: sum_{n>=1} a^2/(a^2 + n^2) = (a pi coth(a pi) - 1)/2
@@ -49,20 +48,8 @@ def reference_cases():
 
 
 class TestEffectiveDimensionExact:
-    def test_single_eigenvalue(self):
-        res = effective_dimension_exact(Spectrum(np.array([1.0])), 1.0)
-        assert res.value == 0.5
-        assert res.truncation_error_bound == 0.0
-        assert res.terms_summed == 1
-
-    def test_stored_only_sums_eigenvalues(self):
-        spec = Spectrum(np.array([2.0, 1.0, 0.5]))
-        res = effective_dimension_exact(spec, 1.0)
-        assert res.value == pytest.approx(2 / 3 + 1 / 2 + 1 / 3, rel=1e-15)
-        assert res.truncation_error_bound == 0.0
-
     def test_decay_beta01_b2(self):
-        spec = polynomial_spectrum(0.1, 2.0, 1)
+        spec = polynomial_spectrum(0.1, 2.0)
         res = effective_dimension_exact(spec, 1e-3, tol=1e-9)
         assert res.truncation_error_bound <= 1e-9
         assert res.value == pytest.approx(N_BETA01_B2_LAM1E3, abs=2e-9)
@@ -73,7 +60,7 @@ class TestEffectiveDimensionExact:
     def test_tail_past_exp_overflow(self, b):
         # at 16 terms the tail's z = b * log(17) exceeds 709.78, past which
         # math.exp(z) raises OverflowError; the tail takes exp(-z) instead
-        res = effective_dimension_exact(polynomial_spectrum(1.0, b, 1), 1.0)
+        res = effective_dimension_exact(polynomial_spectrum(1.0, b), 1.0)
         assert res.value == 0.5
         assert res.truncation_error_bound == 0.0
         assert res.terms_summed == 16
@@ -86,7 +73,7 @@ class TestEffectiveDimensionExact:
     )
     @settings(max_examples=60, deadline=None)
     def test_nonincreasing_in_lambda(self, beta, b, lam, factor):
-        spec = polynomial_spectrum(beta, b, 1)
+        spec = polynomial_spectrum(beta, b)
         tol = 1e-9
         low = effective_dimension_exact(spec, lam, tol)
         high = effective_dimension_exact(spec, lam * factor, tol)
@@ -99,7 +86,7 @@ class TestEffectiveDimensionExact:
     )
     @settings(max_examples=60, deadline=None)
     def test_dominated_by_corrected_bound(self, beta, b, lam):
-        spec = polynomial_spectrum(beta, b, 1)
+        spec = polynomial_spectrum(beta, b)
         res = effective_dimension_exact(spec, lam, 1e-9)
         bound = corrected_bound(beta, b, lam)
         assert res.value <= bound + 1e-9
@@ -117,11 +104,11 @@ class TestEffectiveDimensionExact:
 
         monkeypatch.setattr(effdim, "_partial_sum", no_sum)
         with pytest.raises(RuntimeError, match="needs more than 67108864 direct terms for tol="):
-            effective_dimension_exact(polynomial_spectrum(1.0, b, 1), lam, tol)
+            effective_dimension_exact(polynomial_spectrum(1.0, b), lam, tol)
 
     @pytest.mark.parametrize("beta, b, lam, reference", list(reference_cases()))
     def test_reference_value_in_enclosure(self, beta, b, lam, reference):
-        res = effective_dimension_exact(polynomial_spectrum(beta, b, 1), lam)
+        res = effective_dimension_exact(polynomial_spectrum(beta, b), lam)
         low = Decimal(res.value)
         with localcontext() as ctx:
             ctx.prec, ctx.traps[Inexact] = 1000, True  # the sum of two floats, exactly
@@ -148,7 +135,7 @@ class TestPartialSum:
         # 4,579,072 terms; numpy reports its buffers to tracemalloc
         tracemalloc.start()
         try:
-            res = effective_dimension_exact(polynomial_spectrum(1.0, 1.1, 1), 1e-6)
+            res = effective_dimension_exact(polynomial_spectrum(1.0, 1.1), 1e-6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -270,7 +257,7 @@ class TestMpmathOracles:
     @pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
     @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0])
     def test_b2_enclosure_and_corrected_bound(self, beta, lam):
-        result = effective_dimension_exact(polynomial_spectrum(beta, 2.0, 1), lam)
+        result = effective_dimension_exact(polynomial_spectrum(beta, 2.0), lam)
         with mpmath.workdps(40):
             exact = mp_effdim_b2(beta, lam)
             value = mpmath.mpf(result.value)
@@ -282,7 +269,7 @@ class TestMpmathOracles:
     @pytest.mark.parametrize("beta", [0.1, 1.0])
     @pytest.mark.parametrize("b", [1.5, 3.0, 5.0])
     def test_enclosure_and_corrected_bound_off_b2(self, b, beta, lam):
-        result = effective_dimension_exact(polynomial_spectrum(beta, b, 1), lam)
+        result = effective_dimension_exact(polynomial_spectrum(beta, b), lam)
         with mpmath.workdps(40):
             exact = mp_effdim(beta, b, lam)
             value = mpmath.mpf(result.value)
@@ -318,7 +305,7 @@ class TestBoundComparisonTable:
 
     def test_row_carries_enclosure(self):
         (row,) = bound_comparison_table(0.1, 2.0, [1e-3], tol=1e-6)
-        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0, 1), 1e-3, tol=1e-6)
+        result = effective_dimension_exact(polynomial_spectrum(0.1, 2.0), 1e-3, tol=1e-6)
         assert row.exact == result.value
         assert row.terms_summed == result.terms_summed
         assert row.truncation_error_bound == result.truncation_error_bound

@@ -5,52 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krrbounds.spectral import PriorParams, Spectrum, polynomial_spectrum, q_constant
+from krrbounds.spectral import PriorParams, polynomial_spectrum, q_constant
+from krrbounds.synth import build_model
 
 
 class TestPolynomialSpectrum:
+    """The decay model stores (beta, b); synth.build_model forms its first values."""
+
     def test_beta1_b2(self):
-        spec = polynomial_spectrum(1.0, 2.0, 3)
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
-        assert spec.decay_model == (1.0, 2.0)
+        assert polynomial_spectrum(1.0, 2.0).decay_model == (1.0, 2.0)
+        eig = build_model(1.0, 2.0, 3).eigenvalues
+        np.testing.assert_allclose(eig, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
 
     def test_single_term(self):
-        spec = polynomial_spectrum(0.1, 2.0, 1)
-        np.testing.assert_allclose(spec.eigenvalues, [0.1])
+        np.testing.assert_allclose(build_model(0.1, 2.0, 1).eigenvalues, [0.1])
 
     def test_beta2_b3(self):
-        spec = polynomial_spectrum(2.0, 3.0, 2)
-        np.testing.assert_allclose(spec.eigenvalues, [2.0, 0.25])
+        np.testing.assert_allclose(build_model(2.0, 3.0, 2).eigenvalues, [2.0, 0.25])
 
     @given(
         beta=st.floats(1e-3, 1e3),
         b=st.floats(1.001, 50.0),
-        n_max=st.integers(1, 200),
+        n_modes=st.integers(1, 200),
     )
     @settings(max_examples=200)
-    def test_output_nonincreasing(self, beta, b, n_max):
-        eig = polynomial_spectrum(beta, b, n_max).eigenvalues
+    def test_output_nonincreasing(self, beta, b, n_modes):
+        eig = build_model(beta, b, n_modes).eigenvalues
         assert np.all(np.diff(eig) <= 0)
         assert np.all(eig > 0)
-
-
-class TestSpectrumValidation:
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            Spectrum(np.array([1.0, 2.0]))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            Spectrum(np.array([1.0, 0.0]))
-
-    def test_rejects_inconsistent_decay_model(self):
-        with pytest.raises(ValueError, match="deviate"):
-            Spectrum(np.array([1.0, 0.3]), decay_model=(1.0, 2.0))
-
-    def test_eigenvalues_read_only(self):
-        spec = polynomial_spectrum(1.0, 2.0, 4)
-        with pytest.raises(ValueError):
-            spec.eigenvalues[0] = 5.0
 
 
 class TestQConstant:
