@@ -52,6 +52,17 @@ def decay_exponent(b: float, finite: bool = False) -> None:
         raise ValueError(f"b must be finite here, got {b}")
 
 
+def decay_model(beta: float, b: float, finite: bool = True) -> None:
+    """The decay t_n <= beta * n**-b: beta > 0 and finite, then ``decay_exponent(b, finite)``.
+
+    An infinite beta makes every t_n infinite; an infinite b zeroes every t_n past the first.
+    """
+    positive("beta", beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite here, got {beta}")
+    decay_exponent(b, finite)
+
+
 def source_degree(c: float) -> None:
     if not 1.0 <= c <= 2.0:
         raise ValueError(f"c must be in [1, 2], got {c}")

@@ -181,8 +181,7 @@ def claimed_bound(beta: float, b: float, lam: float) -> float:
     every beta under ``wrong_inequality_threshold(b)``.  Provided solely for
     comparison tables and plots.
     """
-    _checks.positive("beta", beta)
-    _checks.decay_exponent(b, finite=True)
+    _checks.decay_model(beta, b)
     _checks.positive_finite("lambda", lam)
     return beta * b / (b - 1.0) * lam ** (-1.0 / b)
 

@@ -62,9 +62,8 @@ class RateSweepConfig:
     delta: float = synth.DEFAULT_TAIL_MARGIN
 
     def __post_init__(self) -> None:
-        _checks.decay_exponent(self.b, finite=True)
+        _checks.decay_model(self.beta, self.b)
         _checks.source_degree(self.c)
-        _checks.positive("beta", self.beta)
         _checks.noise_scale(self.sigma)
         if not self.ell_grid:
             raise ValueError("ell_grid must be nonempty")

@@ -187,6 +187,6 @@ def eta_tau(tau: float, d_const: float) -> float:
     problem-dependent constant in front of the rate and must be supplied
     by the caller.
     """
-    _checks.positive("tau", tau)
-    _checks.positive("d_const", d_const)
+    _checks.positive_finite("tau", tau)
+    _checks.positive_finite("d_const", d_const)
     return 6.0 * math.exp(-math.sqrt(tau / (2.0 * CONFIDENCE_COEFF * d_const)))

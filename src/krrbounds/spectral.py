@@ -26,30 +26,22 @@ __all__ = ["PriorParams", "Spectrum", "polynomial_spectrum", "q_constant"]
 class Spectrum:
     """The decay model t_n = beta * n**-b of an operator's eigenvalues.
 
-    ``decay_model`` is the ``(beta, b)`` pair; no eigenvalue is stored.
-    Consumers that need the infinite tail (the effective-dimension
-    computation) treat it analytically, and ``synth.build_model`` forms the
-    first n_modes values.  beta and b must be finite here: an infinite beta
-    makes every eigenvalue infinite, and an infinite exponent would zero out
-    every eigenvalue past the first.
+    ``decay_model`` is the ``(beta, b)`` pair that ``_checks.decay_model``
+    checks; no eigenvalue is stored.  N(lambda) treats the tail analytically.
     """
 
     decay_model: tuple[float, float]
 
     def __post_init__(self) -> None:
-        beta, b = self.decay_model
-        _checks.positive("beta", beta)
-        if not math.isfinite(beta):
-            raise ValueError(f"beta must be finite here, got {beta}")
-        _checks.decay_exponent(b, finite=True)
+        _checks.decay_model(*self.decay_model)
 
 
 @dataclass(frozen=True)
 class PriorParams:
-    """Parameters of the distribution family the risk bound quantifies over.
+    """Finite parameters of the distribution family the risk bound quantifies over.
 
-    b, beta    spectral decay t_n <= beta * n**-b (capacity); b = math.inf
-               selects the flat-spectrum convention Q = beta
+    b, beta    spectral decay t_n <= beta * n**-b (capacity); b = math.inf, the
+               one infinite value allowed, selects the flat-spectrum Q = beta
     c, R       source condition of degree c in [1, 2] with radius R
     alpha      lower bound on the operator norm of T (used as the testable
                surrogate for the condition lambda <= ||T||)
@@ -68,10 +60,10 @@ class PriorParams:
     Sigma: float
 
     def __post_init__(self) -> None:
-        _checks.decay_exponent(self.b)
+        _checks.decay_model(self.beta, self.b, finite=False)
         _checks.source_degree(self.c)
-        for name in ("beta", "alpha", "R", "kappa", "M", "Sigma"):
-            _checks.positive(name, getattr(self, name))
+        for name in ("alpha", "R", "kappa", "M", "Sigma"):
+            _checks.positive_finite(name, getattr(self, name))
 
 
 def polynomial_spectrum(beta: float, b: float) -> Spectrum:
@@ -83,10 +75,9 @@ def q_constant(beta: float, b: float) -> float:
     """Coefficient Q of the effective-dimension bound Q * lambda**(-1/b).
 
     Finite b uses beta**(1/b) * (pi/b) / sin(pi/b); b = math.inf returns
-    beta itself (and the bound exponent degenerates to lambda**0).
+    beta itself (the bound exponent degenerates to lambda**0).  Q is finite.
     """
-    _checks.positive("beta", beta)
-    _checks.decay_exponent(b)
+    _checks.decay_model(beta, b, finite=False)
     if math.isinf(b):
         return float(beta)
     return beta ** (1.0 / b) * (math.pi / b) / math.sin(math.pi / b)

@@ -21,7 +21,6 @@ import numpy as np
 from scipy import special
 
 from . import _checks
-from .spectral import polynomial_spectrum
 
 __all__ = [
     "SpectralKernelModel",
@@ -75,7 +74,8 @@ class Dataset:
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
     """Spectral model with eigenvalues beta * n**-b for n = 1..n_modes."""
     _checks.at_least_one("n_modes", n_modes)
-    beta, b = polynomial_spectrum(beta, b).decay_model
+    _checks.decay_model(beta, b)
+    beta, b = float(beta), float(b)
     eigenvalues = beta * np.arange(1, n_modes + 1, dtype=float) ** -b
     eigenvalues.setflags(write=False)
     kappa = math.sqrt(2.0 * beta * float(special.zeta(b)))
@@ -101,7 +101,7 @@ def make_target(
     target from aligning with a single mode.
     """
     _checks.source_degree(c)
-    _checks.positive("R", R)
+    _checks.positive_finite("R", R)
     _checks.positive("delta", delta)
     n = np.arange(1, model.n_modes + 1, dtype=float)
     tail_weights = n ** -(1.0 + delta)

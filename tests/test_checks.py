@@ -51,6 +51,7 @@ POSITIVE_GRID = "every lambda in lambda_grid must be positive"
 LAMBDA_FINITE = "lambda must be finite, got inf"
 FINITE_GRID = "every lambda in lambda_grid must be finite, got inf"
 NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
+BETA_FINITE = "beta must be finite here, got inf"
 
 # (call, message fragment); each row calls one public entry point of one module.
 CASES = {
@@ -101,8 +102,21 @@ CASES = {
     "experiments.RateSweepConfig beta": (lambda: sweep_config(beta=0.0), "beta must be positive"),
     "spectral.polynomial_spectrum beta b inf": (
         lambda: spectral.polynomial_spectrum(0.0, math.inf), "beta must be positive"),
+    # beta = inf
     "spectral.polynomial_spectrum beta inf": (
-        lambda: spectral.polynomial_spectrum(math.inf, 2.0), "beta must be finite here, got inf"),
+        lambda: spectral.polynomial_spectrum(math.inf, 2.0), BETA_FINITE),
+    "spectral.q_constant beta inf": (lambda: spectral.q_constant(math.inf, 2.0), BETA_FINITE),
+    "spectral.q_constant beta inf b inf": (
+        lambda: spectral.q_constant(math.inf, math.inf), BETA_FINITE),
+    "spectral.PriorParams beta inf": (lambda: prior(beta=math.inf), BETA_FINITE),
+    "effdim.claimed_bound beta inf": (
+        lambda: effdim.claimed_bound(math.inf, 2.0, 0.1), BETA_FINITE),
+    "effdim.corrected_bound beta inf": (
+        lambda: effdim.corrected_bound(math.inf, 2.0, 0.1), BETA_FINITE),
+    "effdim.integral_value beta inf": (lambda: effdim.integral_value(math.inf, 2.0), BETA_FINITE),
+    "effdim.wrong_inequality_gap beta inf": (
+        lambda: effdim.wrong_inequality_gap(math.inf, 2.0), BETA_FINITE),
+    "experiments.RateSweepConfig beta inf": (lambda: sweep_config(beta=math.inf), BETA_FINITE),
     # eta outside (0, 6)
     "rates.min_ell_for_condition eta": (
         lambda: rates.min_ell_for_condition(prior(), 0.1, 0.0), "eta must lie in (0, 6)"),
@@ -169,6 +183,17 @@ CASES = {
         lambda: effdim.effective_dimension_exact(SPECTRUM, 0.1, tol=0.0), "tol must be positive"),
     "effdim.bound_comparison_table tol": (
         lambda: effdim.bound_comparison_table(1.0, 2.0, [0.1], tol=-1.0), "tol must be positive"),
+    # R, alpha, kappa, M, Sigma, tau, d_const = inf
+    "spectral.PriorParams alpha inf": (lambda: prior(alpha=math.inf), "alpha must be finite"),
+    "spectral.PriorParams R inf": (lambda: prior(R=math.inf), "R must be finite, got inf"),
+    "spectral.PriorParams kappa inf": (lambda: prior(kappa=math.inf), "kappa must be finite"),
+    "spectral.PriorParams M inf": (lambda: prior(M=math.inf), "M must be finite, got inf"),
+    "spectral.PriorParams Sigma inf": (lambda: prior(Sigma=math.inf), "Sigma must be finite"),
+    "synth.make_target R inf": (
+        lambda: synth.make_target(MODEL, 1.5, R=math.inf), "R must be finite, got inf"),
+    "rates.eta_tau tau inf": (lambda: rates.eta_tau(math.inf, 1.0), "tau must be finite"),
+    "rates.eta_tau d_const inf": (
+        lambda: rates.eta_tau(1.0, math.inf), "d_const must be finite, got inf"),
     # sigma < 0
     "synth.sample_dataset sigma": (
         lambda: synth.sample_dataset(MODEL, TARGET, -0.1, 4, 0), "sigma must be nonnegative"),

@@ -215,6 +215,18 @@ class TestRiskBoundCommand:
         assert err == "error: lambda must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["risk-bound", "--b", "2", "--c", "1.5", "--beta", "1", "--alpha", "1", "--R", "1",
+     "--kappa", "inf", "--M", "1", "--Sigma", "1", "--lambda", "0.1", "--ell", "100",
+     "--eta", "0.05"],
+    ["schedule", "--b", "2", "--c", "1.5", "--ell", "100", "--kappa", "inf"],
+], ids=["risk-bound", "schedule"])
+def test_infinite_prior_constant_exits_2_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: kappa must be finite, got inf\n"
+
+
 class TestScheduleCommand:
     def test_prints_schedule_and_exponent(self, capsys):
         code, out, _ = run_cli(capsys, "schedule", "--b", "2", "--c", "1.5", "--ell", "256")
@@ -409,6 +421,11 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Is a directory" in err
         assert not (tmp_path / "report.csv").exists()
+
+    def test_infinite_beta_rejected_at_load(self, tmp_path):
+        config = write_config(tmp_path / "run.cfg", beta="inf")
+        with pytest.raises(ValueError, match="beta must be finite here, got inf"):
+            load_config(str(config))
 
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         config = write_config(tmp_path / "run.cfg")
