@@ -39,11 +39,10 @@ class RunConfig:
     sweep: experiments.RateSweepConfig
     records_path: str
     report_path: str
-    aggregate: str = "median"
     burn_in: int = experiments.DEFAULT_BURN_IN
 
     def __post_init__(self) -> None:
-        _checks.aggregation(self.aggregate, self.burn_in, len(self.sweep.ell_grid))
+        _checks.fit_burn_in(self.burn_in, len(self.sweep.ell_grid))
         for name in ("records_path", "report_path"):
             path = getattr(self, name)
             directory = os.path.dirname(path) or "."
@@ -78,7 +77,7 @@ def _config_schema() -> dict[str, tuple[type, str, object, bool]]:
 def _parse_value(text: str, kind):
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
-        return tuple(item(part) for part in text.split(",") if part.strip())
+        return tuple(item(part) for part in text.split(","))
     return kind(text)
 
 
@@ -230,7 +229,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     records = experiments.rate_sweep(config.sweep)
     comparison = experiments.compare_with_theory(
-        records, config.sweep.b, config.sweep.c, aggregate=config.aggregate, burn_in=config.burn_in
+        records, config.sweep.b, config.sweep.c, burn_in=config.burn_in
     )
     # Each file is written in a fresh directory beside its target, so it gets the
     # mode open(path, "w") gives, and moved into place once both are written.

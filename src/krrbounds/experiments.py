@@ -2,11 +2,11 @@
 
 A sweep draws datasets over a geometric grid of sample sizes, fits ridge
 regression with the theory-driven schedule, and records the exact excess
-risk of every (ell, repetition) cell.  Aggregated risks are fitted with a
-log-log least-squares line and compared against the bc/(bc+1) rate
-exponent.  Cells are seeded independently from the master seed, so a sweep
-is a pure function of its config and any execution order gives the same
-records.
+risk of every (ell, repetition) cell.  The median risk at each ell is
+fitted with a log-log least-squares line and compared against the
+bc/(bc+1) rate exponent.  Cells are seeded independently from the master
+seed, so a sweep is a pure function of its config and any execution order
+gives the same records.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class RateComparison:
-    """Aggregated sweep risks fitted against the theoretical rate."""
+    """Median sweep risk per ell, fitted against the theoretical rate."""
 
-    aggregate: str
     rows: tuple[tuple[int, float, float, bool], ...]  # (ell, lambda, risk, used_in_fit)
     fit: PowerLawFit
     theoretical_slope: float
@@ -217,27 +216,24 @@ def compare_with_theory(
     records,
     b: float,
     c: float,
-    aggregate: str = "median",
     burn_in: int = DEFAULT_BURN_IN,
 ) -> RateComparison:
-    """Aggregate risks per ell, fit the power law, and report the slope gap."""
+    """Take the median risk per ell, fit the power law, and report the slope gap."""
     by_ell: dict[int, list[float]] = {}
     lam_by_ell: dict[int, float] = {}
     for record in records:
         by_ell.setdefault(record.ell, []).append(record.excess_risk)
         lam_by_ell[record.ell] = record.lam
-    _checks.aggregation(aggregate, burn_in, len(by_ell))
-    reducer = statistics.median if aggregate == "median" else statistics.fmean
+    _checks.fit_burn_in(burn_in, len(by_ell))
     ells = sorted(by_ell)
     fitted_ells = ells[burn_in:]
     rows = tuple(
-        (ell, lam_by_ell[ell], float(reducer(by_ell[ell])), ell in set(fitted_ells))
+        (ell, lam_by_ell[ell], float(statistics.median(by_ell[ell])), ell in set(fitted_ells))
         for ell in ells
     )
     fit = fit_power_law([(ell, risk) for ell, lam, risk, used in rows if used])
     theoretical_slope = -rates.rate_exponent(b, c)
     return RateComparison(
-        aggregate=aggregate,
         rows=rows,
         fit=fit,
         theoretical_slope=theoretical_slope,
@@ -288,9 +284,9 @@ def write_records(records, path) -> None:
 
 
 def write_report_csv(comparison: RateComparison, path) -> None:
-    """Aggregated per-ell risks with the fit metadata, one header row."""
+    """Median risk per ell with the fit metadata, under one header row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ell", "lambda", "risk", "aggregate", "used_in_fit"])
-        writer.writerows((ell, lam, risk, comparison.aggregate, used)
+        writer.writerows((ell, lam, risk, "median", used)
                          for ell, lam, risk, used in comparison.rows)

@@ -172,11 +172,10 @@ def test_criterion_08_rate_simulation(tmp_path, monkeypatch):
         assert config.sweep.n_modes == 512
         assert config.sweep.ell_grid == (64, 128, 256, 512, 1024, 2048)
         assert config.sweep.repetitions == 20
-        assert config.aggregate == "median" and config.burn_in == 2
+        assert config.burn_in == 2
         records = rate_sweep(config.sweep)
         comparison = compare_with_theory(
-            records, config.sweep.b, config.sweep.c,
-            aggregate=config.aggregate, burn_in=config.burn_in,
+            records, config.sweep.b, config.sweep.c, burn_in=config.burn_in
         )
         print(
             f"\n  fitted slope {comparison.fit.slope:+.4f} vs -0.8 "

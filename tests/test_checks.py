@@ -265,9 +265,7 @@ CASES = {
         lambda: record(excess_risk=math.inf), "excess_risk must be nonnegative and finite, got inf"),
     "experiments.RateExperimentRecord excess_risk nan": (
         lambda: record(excess_risk=math.nan), "excess_risk must be nonnegative and finite, got nan"),
-    # aggregation of a sweep
-    "experiments.compare_with_theory aggregate": (
-        lambda: experiments.compare_with_theory([], 2.0, 2.0, aggregate="max"), "aggregate"),
+    # the slope fit of a sweep
     "experiments.compare_with_theory burn_in": (
         lambda: experiments.compare_with_theory([], 2.0, 2.0, burn_in=-1),
         "burn_in must be nonnegative"),

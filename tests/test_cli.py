@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -30,7 +31,7 @@ def write_config(path, **overrides):
     values = dict(
         beta=1.0, b=2.0, c=2.0, sigma=0.1, n_modes=16, delta=0.1,
         ell_grid="16,32,64", repetitions=2, seed=7,
-        aggregate="median", burn_in=1,
+        burn_in=1,
         records_path="records.txt", report_path="report.csv",
     )
     values.update(overrides)
@@ -347,7 +348,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "key, value, fragment",
         [
-            ("aggregate", "max", "aggregate must be 'median' or 'mean'"),
+            ("aggregate", "median", "unknown config key 'aggregate'"),
             ("burn_in", -1, "burn_in must be nonnegative"),
         ],
     )
@@ -466,14 +467,14 @@ class TestConfigSchema:
     def test_accepted_keys(self):
         assert set(_config_schema()) == {
             "beta", "b", "c", "sigma", "n_modes", "delta", "ell_grid", "repetitions", "seed",
-            "aggregate", "burn_in", "records_path", "report_path",
+            "burn_in", "records_path", "report_path",
         }
 
     def test_optional_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EFFDIM_SEED", raising=False)
         path = write_config(tmp_path / "run.cfg", ell_grid="16,32,64,128")
         text = path.read_text(encoding="utf-8")
-        for key in ("n_modes", "delta", "aggregate", "burn_in"):
+        for key in ("n_modes", "delta", "burn_in"):
             text = re.sub(rf"(?m)^{key} = .*\n", "", text)
         path.write_text(text, encoding="utf-8")
         loaded = load_config(str(path))
@@ -486,7 +487,7 @@ class TestConfigSchema:
             report_path="report.csv",
         )
         assert (loaded.sweep.n_modes, loaded.sweep.delta) == (512, 0.1)
-        assert (loaded.aggregate, loaded.burn_in) == ("median", 2)
+        assert loaded.burn_in == 2
         monkeypatch.setenv("EFFDIM_SEED", "99")
         assert load_config(str(path)).sweep.master_seed == 99
 
@@ -500,7 +501,6 @@ class TestConfigSchema:
             ),
             records_path="desk_b2c2_records.txt",
             report_path="desk_b2c2_report.csv",
-            aggregate="median",
             burn_in=2,
         )
 
@@ -517,8 +517,8 @@ class TestConfigSchema:
             load_config(str(path))
 
     @pytest.mark.parametrize(
-        "key, value", [("n_modes", "many"), ("ell_grid", "16,x"), ("burn_in", "1.5"),
-                       ("beta", "one")],
+        "key, value", [("n_modes", "many"), ("ell_grid", "16,x"), ("ell_grid", "64,,128"),
+                       ("ell_grid", "64,128,"), ("burn_in", "1.5"), ("beta", "one")],
     )
     def test_invalid_value(self, tmp_path, key, value):
         path = write_config(tmp_path / "run.cfg", **{key: value})
@@ -567,3 +567,15 @@ def test_readme_quick_example():
     exec(example, namespace)
     assert str(namespace["exact"].value).startswith("15.20796")
     assert str(namespace["bound"]).startswith("15.70796")
+
+
+def test_readme_cli_lines_exit_0(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```bash\n(krrbounds .*?)```", readme, flags=re.S)
+    monkeypatch.chdir(tmp_path)
+    for line in block.replace("\\\n", " ").splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "krrbounds"
+        # simulate runs the desk sweep, which criterion 8 already covers
+        if argv[0] != "simulate":
+            assert run_cli(capsys, *argv)[0] == 0, line

@@ -33,8 +33,11 @@ N_BETA1_B2_LAM1 = 1.076674047468581
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text(encoding="utf-8")
 )["effective_dimension"]
-# Points whose reference N falls outside [value, value + width]: float64
-# rounding of the direct sum exceeds the width where b is near 1 (ROADMAP item 2).
+# Points whose reference N falls outside [value, value + width].  At b = 1.01 the value is
+# low by rel 8.0e-15 to 8.2e-15, mostly the cancellation of sin(pi/b) in
+# spectral.q_constant, itself low by rel 8.2e-15 there (ROADMAP item 15).  At b = 1.1 the
+# value is high by rel 2.3e-16 with width 0: ulp-level misses where the width was clipped
+# to 0 (ROADMAP item 2).
 ENCLOSURE_MISSES = {
     (1.0, 1.01, 1e-8), (1.0, 1.01, 1e-6), (1.0, 1.01, 1e-4), (1.0, 1.1, 1e-8), (1.0, 1.1, 1e-6),
 }

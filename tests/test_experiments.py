@@ -169,14 +169,14 @@ class TestCompareWithTheory:
         assert comp.difference == pytest.approx(0.0, abs=1e-12)
         assert not comp.log_factor_caveat
 
-    def test_median_and_mean_reports_differ(self):
-        # skewed triple per ell: median and mean aggregate differently
+    def test_median_of_skewed_triple_is_middle_run(self):
+        # skewed triple per ell: the median is the middle run, the mean would not be
         records = self._records(-0.75) + self._records(-0.6) + self._records(-0.9)
-        med = compare_with_theory(records, 2.0, 1.5, burn_in=0)
-        mean = compare_with_theory(records, 2.0, 1.5, aggregate="mean", burn_in=0)
-        assert med.aggregate == "median"
-        assert mean.aggregate == "mean"
-        assert med.rows != mean.rows
+        comp = compare_with_theory(records, 2.0, 1.5, burn_in=0)
+        assert comp.rows == compare_with_theory(self._records(-0.75), 2.0, 1.5, burn_in=0).rows
+        assert comp.difference == pytest.approx(0.0, abs=1e-12)
+        for ell, _, risk, _ in comp.rows:
+            assert risk < np.mean([2.0 * ell**slope for slope in (-0.75, -0.6, -0.9)])
 
     def test_burn_in_marks_rows(self):
         comp = compare_with_theory(self._records(-0.75), 2.0, 1.5, burn_in=2)
