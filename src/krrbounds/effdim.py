@@ -58,16 +58,13 @@ class EffDimResult:
 
     N(lambda) lies in [value, value + truncation_error_bound] in exact
     arithmetic; float64 rounding can break that where the tail dominates
-    (b near 1, ROADMAP item 2).  terms_summed counts the summed leading terms.
+    (b near 1, ROADMAP item 2).  The width is clipped at 0 where it is formed.
+    terms_summed counts the summed leading terms.
     """
 
     value: float
     truncation_error_bound: float
     terms_summed: int
-
-    def __post_init__(self) -> None:
-        if self.truncation_error_bound < 0:
-            raise ValueError("truncation_error_bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -86,10 +83,16 @@ class BoundComparisonRow:
     truncation_error_bound: float
 
 
-def _decay_fraction(beta: float, b: float, lam: float, n) -> np.ndarray:
-    """f(n) = beta / (beta + lambda * n**b); overflow of n**b safely yields 0."""
+def _decay_fraction(beta: float, b: float, lam: float, m: np.ndarray) -> np.ndarray:
+    """f(m) = beta / (beta + lambda * m**b), the one statement of f, formed in place over m.
+
+    m is a float64 array; overflow of m**b yields f = 0 without a warning.
+    """
     with np.errstate(over="ignore"):
-        return beta / (beta + lam * np.power(np.asarray(n, dtype=float), b))
+        np.power(m, b, out=m)
+        np.multiply(m, lam, out=m)
+        np.add(m, beta, out=m)
+        return np.divide(beta, m, out=m)
 
 
 def _tail_integral(full: float, beta: float, b: float, lam: float, a: float) -> float:
@@ -104,25 +107,19 @@ def _tail_integral(full: float, beta: float, b: float, lam: float, a: float) -> 
 
 
 def _partial_sum(beta: float, b: float, lam: float, n_terms: int) -> float:
-    """sum_{m=1}^{n_terms} f(m), as _decay_fraction forms f, in blocks of _SUM_CHUNK terms.
+    """sum_{m=1}^{n_terms} f(m) in blocks of _SUM_CHUNK terms, f from _decay_fraction.
 
     One index block and one work buffer are reused in place, so memory stays
     at two blocks however many terms are summed; math.fsum adds the block sums.
-    A sum of at most _SUM_CHUNK terms is one block: np.sum of _decay_fraction's
-    terms, bit for bit.
+    A sum of at most _SUM_CHUNK terms is one block: np.sum of its terms.
     """
     index = np.arange(1.0, min(n_terms, _SUM_CHUNK) + 1.0)
     work = np.empty_like(index)
     sums = []
-    with np.errstate(over="ignore"):
-        for offset in range(0, n_terms, _SUM_CHUNK):
-            m = work[: min(_SUM_CHUNK, n_terms - offset)]
-            np.add(index[: m.size], offset, out=m)
-            np.power(m, b, out=m)
-            np.multiply(m, lam, out=m)
-            np.add(m, beta, out=m)
-            np.divide(beta, m, out=m)
-            sums.append(float(np.sum(m)))
+    for offset in range(0, n_terms, _SUM_CHUNK):
+        m = work[: min(_SUM_CHUNK, n_terms - offset)]
+        np.add(index[: m.size], offset, out=m)
+        sums.append(float(np.sum(_decay_fraction(beta, b, lam, m))))
     return math.fsum(sums)
 
 
@@ -131,10 +128,10 @@ def effective_dimension_exact(
 ) -> EffDimResult:
     """N(lambda) = sum_n t_n/(t_n + lambda) over the spectrum's infinite decay model.
 
-    One loop doubles the cutoff n from the convexity point until the
-    integral enclosure of the tail past n is at most ``tol``, then sums the
-    first n terms directly; a cutoff past ``_MAX_DIRECT_TERMS`` raises
-    RuntimeError (see EffDimResult).
+    The cutoff n doubles from the convexity point up to ``_MAX_DIRECT_TERMS``;
+    the first n whose tail enclosure is at most ``tol`` has its first n terms
+    summed directly.  When no such n exists, RuntimeError is raised (see
+    EffDimResult).
     """
     _checks.positive_finite("lambda", lam)
     _checks.positive("tol", tol)
@@ -144,18 +141,21 @@ def effective_dimension_exact(
     # beta/lambda overflows) starts n past it: nothing is summed, and the full
     # integral, which can overflow there (b near 1), is not formed.
     inflection = ((b - 1.0) / (b + 1.0) * beta / lam) ** (1.0 / b)
-    n, tried = max(16, math.ceil(min(inflection, _MAX_DIRECT_TERMS + 1))), 0
-    full = corrected_bound(beta, b, lam) if n <= _MAX_DIRECT_TERMS else math.inf
-    while tried < n <= _MAX_DIRECT_TERMS:
+    n, cutoffs = max(16, math.ceil(min(inflection, _MAX_DIRECT_TERMS + 1))), []
+    while n <= _MAX_DIRECT_TERMS and n not in cutoffs:
+        cutoffs.append(n)
+        n = min(2 * n, _MAX_DIRECT_TERMS)
+    full = corrected_bound(beta, b, lam) if cutoffs else math.inf
+    # f(n+1) at every cutoff n, from one call of the kernel
+    f_next = _decay_fraction(beta, b, lam, np.array(cutoffs, dtype=float) + 1.0).tolist()
+    for n, f in zip(cutoffs, f_next):
         # f is convex on [n, inf): the trapezoid rule overestimates and the
         # midpoint rule underestimates its integrals, so
         #   int_{n+1}^inf f + f(n+1)/2  <=  sum_{m > n} f(m)  <=  int_{n+1/2}^inf f.
-        f_next = float(_decay_fraction(beta, b, lam, n + 1.0))
-        lower = _tail_integral(full, beta, b, lam, n + 1.0) + 0.5 * f_next
+        lower = _tail_integral(full, beta, b, lam, n + 1.0) + 0.5 * f
         width = max(_tail_integral(full, beta, b, lam, n + 0.5) - lower, 0.0)
         if width <= tol:
             return EffDimResult(_partial_sum(beta, b, lam, n) + lower, width, n)
-        tried, n = n, min(2 * n, _MAX_DIRECT_TERMS)
     raise RuntimeError(
         f"effective dimension for (beta={beta}, b={b}, lambda={lam}) "
         f"needs more than {_MAX_DIRECT_TERMS} direct terms for tol={tol}"

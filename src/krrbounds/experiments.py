@@ -93,12 +93,6 @@ class RateExperimentRecord:
     delta: float
 
     def __post_init__(self) -> None:
-        scheduled = rates.lambda_schedule(self.b, self.c, self.ell)
-        if not math.isclose(self.lam, scheduled, rel_tol=1e-12):
-            raise ValueError(
-                f"lambda {self.lam!r} does not match the schedule value "
-                f"{scheduled!r} for ell={self.ell}"
-            )
         if not 0 <= self.excess_risk < math.inf:
             raise ValueError(f"excess_risk must be nonnegative and finite, got {self.excess_risk}")
 

@@ -11,7 +11,10 @@ its validity region.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 from . import _checks
@@ -65,24 +68,49 @@ class BoundBreakdown:
 
 
 def c_eta(eta: float) -> float:
-    """Confidence constant 96 * log(6/eta)**2."""
+    """Confidence constant 96 * log(6/eta)**2, finite on all of (0, 6)."""
     # log(6/eta) must stay positive; the statistically meaningful range is
     # (0, 1) but the algebra is used on all of (0, 6), e.g. eta = 6/e.
     if not 0.0 < eta < 6.0:
         raise ValueError(f"eta must lie in (0, 6), got {eta}")
-    return CONFIDENCE_COEFF * math.log(6.0 / eta) ** 2
+    ratio = 6.0 / eta
+    # below eta ~ 3.3e-308 the ratio overflows, but its log (at most ~746) does not
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(6.0) - math.log(eta)
+    return CONFIDENCE_COEFF * log_ratio**2
+
+
+def _power(x: float, y: float) -> float:
+    """x**y, or inf where float ** raises OverflowError past the float64 range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 def min_ell_for_condition(params: PriorParams, lam: float, eta: float) -> float:
     """Smallest sample size under which the risk bound is stated to hold.
 
     Returns 2 C_eta kappa Q lambda**(-(b+1)/b); callers round up to an
-    integer.  For b = inf the exponent degenerates to -1.
+    integer.  For b = inf the exponent degenerates to -1.  Returned as a
+    real number; math.inf when it exceeds float64 range.
     """
     _checks.positive_finite("lambda", lam)
     q = q_constant(params.beta, params.b)
-    inv_b = 1.0 / params.b
-    return 2.0 * c_eta(eta) * params.kappa * q * lam ** -(1.0 + inv_b)
+    expo = -(1.0 + 1.0 / params.b)
+    factors = (2.0 * c_eta(eta), params.kappa, q, _power(lam, expo))
+    partials = tuple(itertools.accumulate(factors, operator.mul))
+    # with every factor and partial product normal, the product carries rounding error only
+    if all(sys.float_info.min <= x < math.inf for x in factors + partials):
+        return partials[-1]
+    log_value = math.fsum(map(math.log, factors[:3])) + expo * math.log(lam)
+    return math.exp(log_value) if log_value <= _EXP_OVERFLOW else math.inf
+
+
+def _finite(name: str, value: float) -> float:
+    """value, the risk-bound quantity ``name``; OverflowError naming it if it is not finite."""
+    if not math.isfinite(value):
+        raise OverflowError(f"risk bound {name} is not finite in float64 (got {value})")
+    return value
 
 
 def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> BoundBreakdown:
@@ -90,6 +118,8 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
 
     Invalid side conditions are reported through the flags, never as
     errors, so the bound surface can be plotted wherever it is finite.
+    A term or total that float64 cannot hold raises OverflowError naming it;
+    a power past the range counts as inf, so a partial product can trip it.
     """
     _checks.positive_finite("lambda", lam)
     _checks.at_least_one("ell", ell)
@@ -97,13 +127,15 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     inv_b = 1.0 / b
     q = q_constant(params.beta, b)
     ce = c_eta(eta)
+    R, kappa, M, Sigma = params.R, params.kappa, params.M, params.Sigma
 
-    term_approx = params.R * lam**c
-    term_b = params.kappa**2 * params.R * lam ** (c - 2.0) / ell**2
-    term_a = params.kappa * params.R * lam ** (c - 1.0) / ell
-    term_noise_m = params.kappa * params.M**2 / (lam * ell**2)
-    term_effdim = params.Sigma**2 * q * lam**-inv_b / ell
-    total = ce * (term_approx + term_b + term_a + term_noise_m + term_effdim)
+    ell_sq = _power(ell, 2)
+    term_approx = _finite("term_approx", R * _power(lam, c))
+    term_b = _finite("term_b", _power(kappa, 2) * R * _power(lam, c - 2.0) / ell_sq)
+    term_a = _finite("term_a", kappa * R * _power(lam, c - 1.0) / ell)
+    term_noise_m = _finite("term_noise_m", kappa * _power(M, 2) / (lam * ell_sq))
+    term_effdim = _finite("term_effdim", _power(Sigma, 2) * q * _power(lam, -inv_b) / ell)
+    total = _finite("total", ce * (term_approx + term_b + term_a + term_noise_m + term_effdim))
 
     return BoundBreakdown(
         term_approx=term_approx,

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import re
 import shlex
@@ -184,6 +186,17 @@ class TestBoundsFigureCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+RISK_BOUND_OPTIONS = {
+    "--b": "2", "--c": "1.5", "--beta": "1", "--alpha": "1", "--R": "1", "--kappa": "1",
+    "--M": "1", "--Sigma": "1", "--lambda": "0.1", "--ell": "100", "--eta": "0.05",
+}
+
+
+def risk_bound_argv(overrides):
+    """The risk-bound command line with RISK_BOUND_OPTIONS, some of them overridden."""
+    return ["risk-bound", *itertools.chain(*(RISK_BOUND_OPTIONS | overrides).items())]
+
+
 class TestRiskBoundCommand:
     def test_worked_example(self, capsys):
         code, out, _ = run_cli(
@@ -214,6 +227,36 @@ class TestRiskBoundCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: lambda must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "overrides, quantity",
+        [
+            ({"--kappa": "1e200"}, "term_b"),
+            ({"--M": "1e200"}, "term_noise_m"),
+            ({"--Sigma": "1e200"}, "term_effdim"),
+            ({"--c": "2", "--lambda": "1e300"}, "term_approx"),
+            ({"--R": "1e308"}, "term_b"),
+        ],
+        ids=["kappa", "M", "Sigma", "c2-lambda", "R"],
+    )
+    def test_overflow_exits_1_naming_the_quantity(self, capsys, overrides, quantity):
+        code, out, err = run_cli(capsys, *risk_bound_argv(overrides))
+        assert (code, out) == (1, "")
+        assert err == f"numerical failure: risk bound {quantity} is not finite in float64 (got inf)\n"
+
+    @pytest.mark.parametrize(
+        "option, value, required",
+        [("--eta", "1e-320", "5203098605.021544"), ("--lambda", "1e-300", "inf")],
+        ids=["eta-subnormal", "lambda-tiny"],
+    )
+    def test_extreme_input_prints_finite_values(self, capsys, option, value, required):
+        code, out, _ = run_cli(capsys, *risk_bound_argv({option: value}))
+        assert code == 0
+        numbers = dict(re.findall(r"^  (\w+)\s+= (\S+)", out, flags=re.MULTILINE))
+        del numbers["sample_size_ok"], numbers["lambda_ok"]
+        assert all(math.isfinite(float(v)) for v in numbers.values()), numbers
+        # the required ell is the one output that is inf by definition past float64
+        assert f"(required ell >= {required})" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -331,38 +374,6 @@ class TestSimulateCommand:
         assert code == 2
         assert "cannot read config" in err
 
-    def test_invalid_c_names_field(self, capsys, tmp_path):
-        config = write_config(tmp_path / "bad.cfg", c=3)
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-        assert code == 2
-        assert "c must be in [1, 2]" in err
-
-    def test_no_partial_output_on_validation_failure(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path / "bad.cfg", repetitions=0)
-        code, _, _ = run_cli(capsys, "simulate", "--config", str(config))
-        assert code == 2
-        assert not (tmp_path / "records.txt").exists()
-        assert not (tmp_path / "report.csv").exists()
-
-    @pytest.mark.parametrize(
-        "key, value, fragment",
-        [
-            ("aggregate", "median", "unknown config key 'aggregate'"),
-            ("burn_in", -1, "burn_in must be nonnegative"),
-        ],
-    )
-    def test_bad_aggregation_exits_2_before_any_output(
-        self, capsys, tmp_path, monkeypatch, key, value, fragment
-    ):
-        monkeypatch.chdir(tmp_path)
-        config = write_config(tmp_path / "bad.cfg", **{key: value})
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-        assert code == 2
-        assert fragment in err
-        assert not (tmp_path / "records.txt").exists()
-        assert not (tmp_path / "report.csv").exists()
-
     @pytest.mark.parametrize(
         "overrides, fragment",
         [
@@ -378,10 +389,15 @@ class TestSimulateCommand:
              "report_path './records.txt' is the same file as records_path 'records.txt'"),
             ({"beta": "inf"}, "beta must be finite here, got inf"),
             ({"sigma": "inf"}, "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"),
+            ({"aggregate": "median"}, "unknown config key 'aggregate'"),
+            ({"burn_in": -1}, "burn_in must be nonnegative"),
+            ({"c": 3}, "c must be in [1, 2]"),
+            ({"repetitions": 0}, "repetitions must be >= 1, got 0"),
         ],
         ids=[
             "c1-ell1", "burn-in", "records-dir", "report-dir", "report-is-dir", "records-empty",
-            "report-empty", "same-file", "beta-inf", "sigma-inf",
+            "report-empty", "same-file", "beta-inf", "sigma-inf", "aggregate-key",
+            "burn-in-negative", "c-3", "repetitions-0",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_cell(

@@ -286,12 +286,3 @@ class TestPersistence:
             assert typed_bytes == (tmp_path / f"plain.{suffix}").read_bytes()
             assert b"np." not in typed_bytes
         assert records["typed"] == records["plain"]
-
-
-class TestRecordValidation:
-    def test_rejects_off_schedule_lambda(self):
-        with pytest.raises(ValueError, match="schedule"):
-            RateExperimentRecord(
-                ell=64, repetition=0, lam=0.5, excess_risk=0.1, seed=0,
-                b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=16, delta=0.1,
-            )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krrbounds.rates import (
+    BoundBreakdown,
     c_eta,
     dominance_margins,
     eta_tau,
@@ -15,7 +18,7 @@ from krrbounds.rates import (
     rate_exponent,
     risk_bound,
 )
-from krrbounds.spectral import PriorParams
+from krrbounds.spectral import PriorParams, q_constant
 
 
 def make_params(**overrides):
@@ -89,6 +92,61 @@ class TestRiskBound:
         assert bd.lambda_ok is False
         assert bd.sample_size_ok is False
         assert math.isfinite(bd.total)
+
+
+# Magnitudes log-uniform over [1e-300, 1e300]; eta over (0, 6), subnormals included.
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+ETA = st.one_of(
+    st.floats(0.0, 6.0, exclude_min=True, exclude_max=True),
+    st.floats(-323.0, 0.7).map(lambda e: 10.0**e),
+)
+B = st.one_of(st.just(math.inf), st.floats(-12.0, 3.0).map(lambda e: 1.0 + 10.0**e))
+FIELDS = [f.name for f in dataclasses.fields(BoundBreakdown)][:7]  # the five terms, total, c_eta
+
+
+@given(
+    b=B, c=st.floats(1.0, 2.0), beta=LOG_UNIFORM, alpha=LOG_UNIFORM, R=LOG_UNIFORM,
+    kappa=LOG_UNIFORM, M=LOG_UNIFORM, Sigma=LOG_UNIFORM, lam=LOG_UNIFORM, ell=LOG_UNIFORM,
+    eta=ETA,
+)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(b=2.0, c=1.5, beta=1.0, alpha=1.0, R=1e308, kappa=1.0, M=1.0, Sigma=1.0,
+         lam=0.1, ell=100.0, eta=0.05)
+@example(b=2.0, c=1.5, beta=1.0, alpha=1.0, R=1.0, kappa=1.0, M=1.0, Sigma=1.0,
+         lam=1e-300, ell=100.0, eta=1e-320)
+def test_outputs_are_finite_or_name_the_overflowing_quantity(
+    b, c, beta, alpha, R, kappa, M, Sigma, lam, ell, eta
+):
+    """Every risk_bound field is finite, or OverflowError names the field; min_ell is never nan.
+
+    Drawn with a fixed derandomized seed and no example database, so CI is deterministic.
+    """
+    params = PriorParams(b=b, c=c, beta=beta, alpha=alpha, R=R, kappa=kappa, M=M, Sigma=Sigma)
+    assert math.isfinite(c_eta(eta))
+    if ell < 1:
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            risk_bound(params, lam, ell, eta)
+    else:
+        try:
+            breakdown = risk_bound(params, lam, ell, eta)
+        except OverflowError as exc:
+            named = re.fullmatch(r"risk bound (\w+) is not finite in float64 \(got \S+\)", str(exc))
+            assert named and named.group(1) in FIELDS, str(exc)
+        else:
+            assert all(math.isfinite(getattr(breakdown, name)) for name in FIELDS)
+    # inf only past the float64 range: compare with the product formed from logs,
+    # whose absolute error is about eps times the sum of the logs' magnitudes
+    required = min_ell_for_condition(params, lam, eta)
+    logs = [math.log(2.0 * c_eta(eta)), math.log(kappa), math.log(q_constant(beta, b)),
+            -(1.0 + 1.0 / b) * math.log(lam)]
+    log_required = math.fsum(logs)
+    slack = 8.0 * 2.0**-52 * (1.0 + sum(abs(x) for x in logs))
+    if required == math.inf:
+        assert log_required > 709.0 - slack
+    else:
+        assert 0.0 <= required < math.inf
+        if -700.0 < log_required < 709.0:
+            assert required == pytest.approx(math.exp(log_required), rel=2.0 * slack)
 
 
 class TestMinEllForCondition:
