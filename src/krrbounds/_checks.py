@@ -44,6 +44,15 @@ def at_least_one(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def sample_size(ell: float) -> float:
+    """ell >= 1 as a float64; an integer past its range (about 1.8e308) is rejected."""
+    at_least_one("ell", ell)
+    try:
+        return float(ell)
+    except OverflowError:
+        raise ValueError(f"ell must fit in float64, got about 1e{math.log10(ell):.0f}") from None
+
+
 def decay_exponent(b: float, finite: bool = False) -> None:
     """b > 1 makes the spectrum summable; b = math.inf is allowed unless ``finite``."""
     if not b > 1:

@@ -21,7 +21,7 @@ import typing
 import numpy as np
 
 from . import _checks, effdim, experiments, rates
-from .spectral import PriorParams
+from .spectral import PriorParams, polynomial_spectrum
 
 __all__ = ["RunConfig", "load_config", "build_parser", "main"]
 
@@ -141,31 +141,25 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_effdim(args) -> int:
-    rows = effdim.bound_comparison_table(args.beta, args.b, [args.lam], tol=args.tol)
-    row = rows[0]
-    gap_corrected = row.corrected - row.exact
-    gap_claimed = row.claimed - row.exact
-    if args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["lambda", "exact", "corrected", "claimed", "gap_corrected", "gap_claimed"])
-        writer.writerow(
-            [row.lam, row.exact, row.corrected, row.claimed, gap_corrected, gap_claimed]
-        )
-        return 0
-    names = {"exact": row.exact, "corrected": row.corrected, "claimed": row.claimed}
+    exact = effdim.effective_dimension_exact(
+        polynomial_spectrum(args.beta, args.b), args.lam, args.tol
+    )
+    corrected = effdim.corrected_bound(args.beta, args.b, args.lam)
+    claimed = effdim.claimed_bound(args.beta, args.b, args.lam)
+    names = {"exact": exact.value, "corrected": corrected, "claimed": claimed}
     ordered = sorted(names, key=names.get)
     ordering = ordered[0]
     for low, high in zip(ordered, ordered[1:]):
         ordering += (" = " if names[low] == names[high] else " < ") + high
     print(f"effective dimension at beta={args.beta} b={args.b} lambda={args.lam}")
-    print(f"  exact N(lambda)  = {_fmt(row.exact)}")
-    print(f"  terms summed     = {row.terms_summed}")
+    print(f"  exact N(lambda)  = {_fmt(exact.value)}")
+    print(f"  terms summed     = {exact.terms_summed}")
     print(
-        f"  enclosure width  = {_fmt(row.truncation_error_bound)}"
+        f"  enclosure width  = {_fmt(exact.truncation_error_bound)}"
         "   (N(lambda) in [exact, exact + width])"
     )
-    print(f"  corrected bound  = {_fmt(row.corrected)}   gap = {_fmt(gap_corrected)}")
-    print(f"  claimed bound    = {_fmt(row.claimed)}   gap = {_fmt(gap_claimed)}")
+    print(f"  corrected bound  = {_fmt(corrected)}   gap = {_fmt(corrected - exact.value)}")
+    print(f"  claimed bound    = {_fmt(claimed)}   gap = {_fmt(claimed - exact.value)}")
     print(f"  ordering: {ordering}")
     return 0
 
@@ -284,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--tol", type=float, default=effdim.DEFAULT_TOL)
-    p.add_argument("--csv", action="store_true", help="emit a CSV header + row instead of text")
     p.set_defaults(func=_cmd_effdim)
 
     p = sub.add_parser("bounds-figure", help="CSV of (lambda, exact, corrected, claimed) on a log grid")

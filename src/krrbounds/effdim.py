@@ -69,18 +69,15 @@ class EffDimResult:
 
 @dataclass(frozen=True)
 class BoundComparisonRow:
-    """Exact N(lambda) beside both closed-form bounds.
+    """One ``bounds-figure`` CSV row: N(lambda) beside both closed-form bounds.
 
-    terms_summed and truncation_error_bound are those of the exact value's
-    ``EffDimResult``.
+    exact is an ``EffDimResult`` value; its width and term count stay there.
     """
 
     lam: float
     exact: float
     corrected: float
     claimed: float
-    terms_summed: int
-    truncation_error_bound: float
 
 
 def _decay_fraction(beta: float, b: float, lam: float, m: np.ndarray) -> np.ndarray:
@@ -232,20 +229,18 @@ def bound_comparison_table(
     lambda_grid,
     tol: float = DEFAULT_TOL,
 ) -> list[BoundComparisonRow]:
-    """One (lambda, exact, corrected, claimed) row per grid value."""
+    """One (lambda, exact, corrected, claimed) row per grid value, exact at ``tol``.
+
+    A caller that needs N(lambda)'s enclosure calls ``effective_dimension_exact``.
+    """
     lams = _checks.lambda_grid(lambda_grid)
     spectrum = polynomial_spectrum(beta, b)
-    rows = []
-    for lam in lams:
-        exact = effective_dimension_exact(spectrum, lam, tol)
-        rows.append(
-            BoundComparisonRow(
-                lam=lam,
-                exact=exact.value,
-                corrected=corrected_bound(beta, b, lam),
-                claimed=claimed_bound(beta, b, lam),
-                terms_summed=exact.terms_summed,
-                truncation_error_bound=exact.truncation_error_bound,
-            )
+    return [
+        BoundComparisonRow(
+            lam=lam,
+            exact=effective_dimension_exact(spectrum, lam, tol).value,
+            corrected=corrected_bound(beta, b, lam),
+            claimed=claimed_bound(beta, b, lam),
         )
-    return rows
+        for lam in lams
+    ]

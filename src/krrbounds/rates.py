@@ -120,9 +120,11 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     errors, so the bound surface can be plotted wherever it is finite.
     A term or total that float64 cannot hold raises OverflowError naming it;
     a power past the range counts as inf, so a partial product can trip it.
+    ell is taken to float64 first: an integer past its range raises
+    ValueError naming ell, and ell**2 past it counts as inf.
     """
     _checks.positive_finite("lambda", lam)
-    _checks.at_least_one("ell", ell)
+    ell = _checks.sample_size(ell)
     b, c = params.b, params.c
     inv_b = 1.0 / b
     q = q_constant(params.beta, b)
@@ -154,16 +156,18 @@ def lambda_schedule(b: float, c: float, ell: float) -> float:
     """Sample-size-driven ridge parameter.
 
     c > 1:  ell**(-b/(bc+1));   c = 1:  (log(ell)/ell)**(b/(b+1)).
-    Real-valued ell is accepted so the algebra can be checked exactly.
+    Real-valued ell is accepted so the algebra can be checked exactly; ell
+    is taken to float64 first, and an integer past its range raises
+    ValueError naming ell.
     """
     _checks.decay_exponent(b)
     _checks.source_degree(c)
+    if c == 1.0 and not ell >= 2:
+        raise ValueError(f"c = 1 schedule needs ell >= 2, got {ell}")
+    ell = _checks.sample_size(ell)
     if c == 1.0:
-        if not ell >= 2:
-            raise ValueError(f"c = 1 schedule needs ell >= 2, got {ell}")
         expo = 1.0 if math.isinf(b) else b / (b + 1.0)
         return (math.log(ell) / ell) ** expo
-    _checks.at_least_one("ell", ell)
     expo = 1.0 / c if math.isinf(b) else b / (b * c + 1.0)
     return ell**-expo
 
@@ -175,13 +179,16 @@ def min_sample_size(params: PriorParams, eta: float) -> float:
     the relative rounding margin 4 eps expo (1 + |log ell_eta|) so that the
     condition as ``risk_bound`` evaluates it holds from ceil(ell_eta) on;
     c = 1: exp(2 C_eta kappa Q).
-    Returned as a real number; math.inf when it exceeds float64 range.
+    Returned as a real number; math.inf when it exceeds float64 range, and
+    0.0 (c > 1) when 2 C_eta kappa Q underflows to 0.0.
     """
     # 2 C_eta kappa Q: the condition's threshold at lambda = 1
     base = min_ell_for_condition(params, 1.0, eta)
     b, c = params.b, params.c
     if c == 1.0:
         return math.exp(base) if base <= _EXP_OVERFLOW else math.inf
+    if base == 0.0:
+        return 0.0
     expo = c / (c - 1.0) if math.isinf(b) else (b * c + 1.0) / (b * (c - 1.0))
     log_value = expo * math.log(base)
     log_value += _THRESHOLD_ROUNDING * expo * (1.0 + abs(log_value))

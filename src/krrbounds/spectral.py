@@ -75,7 +75,11 @@ def q_constant(beta: float, b: float) -> float:
     """Coefficient Q of the effective-dimension bound Q * lambda**(-1/b).
 
     Finite b uses beta**(1/b) * (pi/b) / sin(pi/b); b = math.inf returns
-    beta itself (the bound exponent degenerates to lambda**0).  Q is finite.
+    beta itself (the bound exponent degenerates to lambda**0).  Q is about
+    beta**(1/b) / (b - 1) as b -> 1, so large beta with b near 1 overflows
+    it to inf: ``q_constant(1e300, 1 + 1e-12)``.  There ``risk-bound`` exits 1
+    naming term_effdim, ``schedule`` prints ``ell_eta = inf``, and ``effdim``
+    stops at the direct-term cap with exit 1.
     """
     _checks.decay_model(beta, b, finite=False)
     if math.isinf(b):

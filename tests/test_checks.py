@@ -52,6 +52,7 @@ LAMBDA_FINITE = "lambda must be finite, got inf"
 FINITE_GRID = "every lambda in lambda_grid must be finite, got inf"
 NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
 BETA_FINITE = "beta must be finite here, got inf"
+ELL_FLOAT64 = "ell must fit in float64, got about 1e400"
 
 # (call, message fragment); each row calls one public entry point of one module.
 CASES = {
@@ -209,6 +210,13 @@ CASES = {
     # ell, n_modes, repetitions < 1
     "rates.risk_bound ell": (lambda: rates.risk_bound(prior(), 0.1, 0.5, 0.05), AT_LEAST_ONE),
     "rates.lambda_schedule ell": (lambda: rates.lambda_schedule(2.0, 1.5, 0), AT_LEAST_ONE),
+    # an integer ell past the float64 range
+    "rates.risk_bound ell 1e400": (
+        lambda: rates.risk_bound(prior(), 0.1, 10**400, 0.05), ELL_FLOAT64),
+    "rates.lambda_schedule ell 1e400": (
+        lambda: rates.lambda_schedule(2.0, 1.5, 10**400), ELL_FLOAT64),
+    "rates.lambda_schedule c = 1 ell 1e400": (
+        lambda: rates.lambda_schedule(2.0, 1.0, 10**400), ELL_FLOAT64),
     "synth.build_model n_modes": (lambda: synth.build_model(1.0, 2.0, 0), AT_LEAST_ONE),
     "synth.sample_dataset ell": (
         lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 0, 0), AT_LEAST_ONE),

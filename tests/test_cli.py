@@ -73,14 +73,12 @@ class TestEffdimCommand:
         assert width == result.truncation_error_bound
         assert 0.0 <= width <= 1e-6
 
-    def test_csv_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "1e-3", "--csv"
-        )
-        assert code == 0
-        header, row = out.strip().splitlines()
-        assert header == "lambda,exact,corrected,claimed,gap_corrected,gap_claimed"
-        assert len(row.split(",")) == 6
+    def test_csv_option_is_gone(self, capsys):
+        # bounds-figure --points 1 writes the one-row CSV
+        with pytest.raises(SystemExit) as exc:
+            main(["effdim", "--beta", "0.1", "--b", "2", "--lambda", "1e-3", "--csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
     def test_zero_lambda_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "0")
@@ -91,7 +89,7 @@ class TestEffdimCommand:
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "inf")
         assert (code, out) == (2, "")
-        assert err == "error: every lambda in lambda_grid must be finite, got inf\n"
+        assert err == "error: lambda must be finite, got inf\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_equal_bounds_joined_with_equals(self, capsys):
@@ -124,7 +122,7 @@ class TestEffdimCommand:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(effdim, "bound_comparison_table", no_convergence)
+        monkeypatch.setattr(effdim, "effective_dimension_exact", no_convergence)
         code, out, err = run_cli(capsys, "effdim", "--beta", "0.1", "--b", "2", "--lambda", "1e-3")
         assert (code, out) == (1, "")
         assert err == "numerical failure: SVD did not converge\n"
@@ -258,6 +256,11 @@ class TestRiskBoundCommand:
         # the required ell is the one output that is inf by definition past float64
         assert f"(required ell >= {required})" in out
 
+    def test_integer_ell_is_taken_to_float(self, capsys):
+        code, out, _ = run_cli(capsys, *risk_bound_argv({"--ell": str(10**200)}))
+        assert code == 0
+        assert "  total            = 69.58046213609981\n" in out
+
 
 @pytest.mark.parametrize("argv", [
     ["risk-bound", "--b", "2", "--c", "1.5", "--beta", "1", "--alpha", "1", "--R", "1",
@@ -271,12 +274,30 @@ def test_infinite_prior_constant_exits_2_without_output(capsys, argv):
     assert err == "error: kappa must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    risk_bound_argv({"--ell": str(10**400)}),
+    ["schedule", "--b", "2", "--c", "1.5", "--ell", str(10**400)],
+], ids=["risk-bound", "schedule"])
+def test_ell_past_float64_exits_2_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: ell must fit in float64, got about 1e400\n"
+
+
 class TestScheduleCommand:
     def test_prints_schedule_and_exponent(self, capsys):
         code, out, _ = run_cli(capsys, "schedule", "--b", "2", "--c", "1.5", "--ell", "256")
         assert code == 0
         assert re.search(r"lambda_ell\s+= 0\.0625", out)
         assert re.search(r"rate exponent\s+= 0\.75", out)
+
+    def test_underflowed_threshold_prints_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "schedule", "--b", "1.0001", "--c", "2", "--ell", "10",
+            "--kappa", "1e-300", "--beta", "1e-300",
+        )
+        assert code == 0
+        assert "  ell_eta          = 0.0 (" in out
 
     def test_c_one_log_caveat(self, capsys):
         code, out, _ = run_cli(capsys, "schedule", "--b", "2", "--c", "1", "--ell", "100")

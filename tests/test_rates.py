@@ -86,6 +86,13 @@ class TestRiskBound:
         bd = risk_bound(params, 0.03, 50, 0.5)
         assert bd.term_effdim == pytest.approx(4.0 * 0.7 / 50, rel=1e-12)
 
+    def test_integer_ell_is_taken_to_float(self):
+        # ell**2 = 1e400 counts as inf, as it does for the float 1e200
+        params = make_params()
+        bd = risk_bound(params, 0.1, 10**200, 0.05)
+        assert bd == risk_bound(params, 0.1, 1e200, 0.05)
+        assert bd.total == 69.58046213609981
+
     def test_invalid_conditions_are_flags_not_errors(self):
         params = make_params(alpha=1e-9)
         bd = risk_bound(params, 0.5, 1, 0.9)
@@ -211,6 +218,12 @@ class TestMinSampleSize:
         params = make_params(c=1.0 + 1e-12)
         assert min_sample_size(params, 0.05) == math.inf
 
+    def test_underflowed_base_returns_zero(self):
+        # 2 C_eta kappa Q underflows to 0.0, whose log is undefined
+        params = make_params(b=1.0001, c=2.0, beta=1e-300, kappa=1e-300)
+        assert min_ell_for_condition(params, 1.0, 0.05) == 0.0
+        assert min_sample_size(params, 0.05) == 0.0
+
 
 class TestRateExponent:
     @pytest.mark.parametrize(
@@ -231,20 +244,10 @@ class TestDominanceMargins:
     def test_values(self, b, c, expected):
         assert dominance_margins(b, c) == pytest.approx(expected)
 
-    @given(b=st.floats(1.0001, 100.0), c=st.floats(1.0, 2.0))
-    @settings(max_examples=200)
-    def test_always_positive(self, b, c):
-        assert all(m > 0 for m in dominance_margins(b, c))
-
 
 class TestEtaTau:
     def test_unit_exponent(self):
         assert eta_tau(192.0 * 7.5, 7.5) == pytest.approx(6.0 / math.e, rel=1e-14)
-
-    def test_round_trip(self):
-        eta, d = 0.1, 2.0
-        tau = 192.0 * d * math.log(6.0 / eta) ** 2
-        assert eta_tau(tau, d) == pytest.approx(eta, rel=1e-10)
 
     def test_decreasing_to_zero(self):
         values = [eta_tau(tau, 1.0) for tau in (1e3, 1e6, 1e9)]
