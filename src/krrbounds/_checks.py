@@ -45,12 +45,15 @@ def at_least_one(name: str, value: float) -> None:
 
 
 def sample_size(ell: float) -> float:
-    """ell >= 1 as a float64; an integer past its range (about 1.8e308) is rejected."""
+    """ell >= 1 as a finite float64: inf, or an integer past about 1.8e308, is rejected."""
     at_least_one("ell", ell)
     try:
-        return float(ell)
+        value = float(ell)
     except OverflowError:
         raise ValueError(f"ell must fit in float64, got about 1e{math.log10(ell):.0f}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"ell must be finite, got {ell}")
+    return value
 
 
 def decay_exponent(b: float, finite: bool = False) -> None:

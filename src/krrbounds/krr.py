@@ -10,7 +10,9 @@ ell x m feature matrix Phi, evaluated once by the caller, and its m weights
 W: K = A A^T with A = Phi W^(1/2).  K has rank at most m, and K and the
 m x m matrix A^T A share their nonzero eigenvalues and their trace, so the
 ridge fit is solved on whichever of the two is smaller, and the empirical
-effective dimension is read from the eigenvalues of A^T A.
+effective dimension is read from the eigenvalues of A^T A.  A^T A is formed
+as the m x m product Phi^T Phi scaled entrywise by sqrt(w_i) sqrt(w_j), so
+Phi is never copied into A on that side.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def krr_fit_factored(features, weights, y, lam: float) -> np.ndarray:
     the features.  For ell > m the m x m primal system
     (A^T A + ell * lambda * I) z = A^T y is solved and c = W^(1/2) z, by the
     push-through identity A^T (A A^T + s I)^-1 = (A^T A + s I)^-1 A^T;
-    otherwise the dual system goes through ``gram_matrix`` and ``krr_fit``.
+    A^T A is Phi^T Phi scaled by sqrt(w_i) sqrt(w_j) and A^T y is
+    W^(1/2) (Phi^T y), so no ell x m array is formed.  Otherwise the dual
+    system goes through ``gram_matrix`` and ``krr_fit``.
     Both use the same Cholesky solve, jitter retry and residual check.
     """
     features, weights = _factors(features, weights)
@@ -84,8 +88,9 @@ def krr_fit_factored(features, weights, y, lam: float) -> np.ndarray:
     _check_targets(y, ell, lam)
     if ell > n_features:
         sqrt_weights = np.sqrt(weights)
-        scaled = features * sqrt_weights
-        z = _ridge_cholesky_solve(scaled.T @ scaled, scaled.T @ y, ell, lam)
+        z = _ridge_cholesky_solve(
+            _feature_gram(features, sqrt_weights), sqrt_weights * (features.T @ y), ell, lam
+        )
         return sqrt_weights * z
     alpha = krr_fit(gram_matrix(features, weights), y, lam)
     return weights * (features.T @ alpha)
@@ -113,8 +118,21 @@ def empirical_effective_dimension_factored(features, weights, lambdas) -> np.nda
     """
     features, weights = _factors(features, weights)
     lams = _checks.lambda_grid(lambdas)
-    scaled = features * np.sqrt(weights)
-    return _effdim_from_eigenvalues(np.linalg.eigvalsh(scaled.T @ scaled), len(features), lams)
+    gram = _feature_gram(features, np.sqrt(weights))
+    return _effdim_from_eigenvalues(np.linalg.eigvalsh(gram), len(features), lams)
+
+
+def _feature_gram(features: np.ndarray, sqrt_weights: np.ndarray) -> np.ndarray:
+    """A^T A = W^(1/2) (Phi^T Phi) W^(1/2), exactly symmetric, without forming A.
+
+    Phi^T Phi is one product of Phi's transpose with Phi (BLAS syrk, one
+    triangle mirrored), and scaling entry (i, j) by the one product
+    sqrt(w_i) sqrt(w_j) keeps it symmetric bit for bit; scaling rows and
+    then columns would round the two triangles differently.
+    """
+    gram = features.T @ features
+    gram *= np.outer(sqrt_weights, sqrt_weights)
+    return gram
 
 
 def _effdim_from_eigenvalues(eigenvalues: np.ndarray, ell: int, lams: list[float]) -> np.ndarray:

@@ -120,7 +120,7 @@ def risk_bound(params: PriorParams, lam: float, ell: float, eta: float) -> Bound
     errors, so the bound surface can be plotted wherever it is finite.
     A term or total that float64 cannot hold raises OverflowError naming it;
     a power past the range counts as inf, so a partial product can trip it.
-    ell is taken to float64 first: an integer past its range raises
+    ell is taken to float64 first: inf or an integer past its range raises
     ValueError naming ell, and ell**2 past it counts as inf.
     """
     _checks.positive_finite("lambda", lam)
@@ -157,7 +157,7 @@ def lambda_schedule(b: float, c: float, ell: float) -> float:
 
     c > 1:  ell**(-b/(bc+1));   c = 1:  (log(ell)/ell)**(b/(b+1)).
     Real-valued ell is accepted so the algebra can be checked exactly; ell
-    is taken to float64 first, and an integer past its range raises
+    is taken to float64 first, and inf or an integer past its range raises
     ValueError naming ell.
     """
     _checks.decay_exponent(b)

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_MARGIN = 0.1
+# columns per angle-addition block of ``SpectralKernelModel.basis``
+_ANGLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,31 @@ class SpectralKernelModel:
     kappa: float
 
     def basis(self, xs) -> np.ndarray:
-        """Matrix phi_n(x_i) of shape (len(xs), n_modes)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        n = np.arange(1, self.n_modes + 1, dtype=float)
-        return math.sqrt(2.0) * np.cos(math.pi * np.outer(xs, n))
+        """Matrix phi_n(x_i) of shape (len(xs), n_modes), written in place by angle addition.
+
+        With theta = pi x and n = jB + k (B = ``_ANGLE_BLOCK``, k = 1..B),
+        sqrt(2) cos(n theta) = sqrt(2) cos(jB theta) cos(k theta)
+        - sqrt(2) sin(jB theta) sin(k theta): each row costs 2(B + n_modes/B)
+        trig calls instead of n_modes, and each column block is formed in
+        the result with one (len(xs), B) scratch array.  The error does not
+        grow with n beyond that of rounding the angles themselves.
+        """
+        theta = math.pi * np.asarray(xs, dtype=float).reshape(-1, 1)
+        width = min(_ANGLE_BLOCK, self.n_modes)
+        step = theta * np.arange(1, width + 1, dtype=float)
+        cos_step, sin_step = np.cos(step), np.sin(step, out=step)
+        offset = theta * np.arange(0, self.n_modes, width, dtype=float)
+        cos_offset = math.sqrt(2.0) * np.cos(offset)
+        sin_offset = math.sqrt(2.0) * np.sin(offset, out=offset)
+        out = np.empty((len(theta), self.n_modes))
+        scratch = np.empty((len(theta), width))
+        for j, start in enumerate(range(0, self.n_modes, width)):
+            block = out[:, start:start + width]
+            cols = block.shape[1]
+            np.multiply(cos_offset[:, j:j + 1], cos_step[:, :cols], out=block)
+            np.multiply(sin_offset[:, j:j + 1], sin_step[:, :cols], out=scratch[:, :cols])
+            np.subtract(block, scratch[:, :cols], out=block)
+        return out
 
 
 @dataclass(frozen=True)

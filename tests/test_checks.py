@@ -53,6 +53,7 @@ FINITE_GRID = "every lambda in lambda_grid must be finite, got inf"
 NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
 BETA_FINITE = "beta must be finite here, got inf"
 ELL_FLOAT64 = "ell must fit in float64, got about 1e400"
+ELL_FINITE = "ell must be finite, got inf"
 
 # (call, message fragment); each row calls one public entry point of one module.
 CASES = {
@@ -217,6 +218,13 @@ CASES = {
         lambda: rates.lambda_schedule(2.0, 1.5, 10**400), ELL_FLOAT64),
     "rates.lambda_schedule c = 1 ell 1e400": (
         lambda: rates.lambda_schedule(2.0, 1.0, 10**400), ELL_FLOAT64),
+    # ell = inf
+    "rates.risk_bound ell inf": (
+        lambda: rates.risk_bound(prior(), 0.1, math.inf, 0.05), ELL_FINITE),
+    "rates.lambda_schedule ell inf": (
+        lambda: rates.lambda_schedule(2.0, 1.5, math.inf), ELL_FINITE),
+    "rates.lambda_schedule c = 1 ell inf": (
+        lambda: rates.lambda_schedule(2.0, 1.0, math.inf), ELL_FINITE),
     "synth.build_model n_modes": (lambda: synth.build_model(1.0, 2.0, 0), AT_LEAST_ONE),
     "synth.sample_dataset ell": (
         lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 0, 0), AT_LEAST_ONE),

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -85,6 +87,65 @@ class TestBuildModel:
         k = gram_matrix(m.basis(xs), m.eigenvalues)
         top = np.linalg.eigvalsh(k / 2000)[-1]
         assert top == pytest.approx(m.eigenvalues[0], rel=0.1)
+
+
+# Unit roundoff of float64.  numpy validates its float64 cos and sin to 1 ulp,
+# at most 2 * U for a value in [-1, 1].
+U = 2.0**-53
+BASIS_POINTS = [0.0, 1e-3, 0.1, 1.0 / 3.0, 0.5, 2.0**-0.5, 0.9, 0.999, 1.0]
+
+
+def basis_error_bound(n, x):
+    """|basis - sqrt(2) cos(n pi x)| for n = jB + k, derived from the roundings.
+
+    theta = fl(pi x) is within 2 U pi x of pi x (pi itself and the product),
+    and fl(k theta) and fl(jB theta) add U k theta and U jB theta, so the two
+    angles sum to n pi x within 3 U n pi x, which moves sqrt(2) cos by at
+    most sqrt(2) times that.  The four trig values are each within 2 U, and
+    |cos a| + |sin a| <= sqrt(2), so the product-difference moves by at most
+    sqrt(2) * 2 sqrt(2) * 2 U = 8 U.  Rounding sqrt(2) and the scaled
+    offsets (2 U), the two products (U) and the difference (U), each
+    relative to a value of size at most sqrt(2), adds 4 sqrt(2) U < 6 U.
+    16 U covers those 14 U and the second-order terms.
+    """
+    return U * (3.0 * math.sqrt(2.0) * math.pi * n * x + 16.0)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("n_modes", [1, 7, 512, 1000])
+    def test_matches_mpmath_within_rounding_bound(self, n_modes):
+        phi = build_model(1.0, 2.0, n_modes).basis(BASIS_POINTS)
+        n = np.arange(1, n_modes + 1)
+        with mpmath.workdps(40):
+            for row, x in zip(phi, BASIS_POINTS):
+                exact = [mpmath.sqrt(2) * mpmath.cos(k * mpmath.pi * mpmath.mpf(x)) for k in n]
+                error = np.array([float(abs(mpmath.mpf(v) - e)) for v, e in zip(row, exact)])
+                assert np.all(error <= basis_error_bound(n, x))
+
+    @pytest.mark.parametrize("n_modes", [1, 7, 33, 1000])
+    def test_layout_when_modes_are_not_a_whole_block(self, n_modes):
+        model = build_model(1.0, 2.0, n_modes)
+        for xs in (0.3, [0.0, 1.0]):
+            phi = model.basis(xs)
+            assert phi.shape == (np.size(xs), n_modes)
+            assert phi.dtype == np.float64
+            assert phi.flags.c_contiguous
+        # cos 0 = 1 and sin 0 = 0 exactly; at x = 1, cos(n pi) = (-1)**n
+        n = np.arange(1, n_modes + 1)
+        np.testing.assert_array_equal(phi[0], math.sqrt(2.0))
+        assert np.all(np.abs(phi[1] - math.sqrt(2.0) * (-1.0) ** n) <= basis_error_bound(n, 1.0))
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        m = build_model(1.0, 2.0, 512)
+        xs = np.random.default_rng(8).uniform(size=2048)
+        m.basis(xs)
+        tracemalloc.start()
+        try:
+            phi = m.basis(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * phi.nbytes
 
 
 class TestMakeTarget:
