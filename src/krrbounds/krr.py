@@ -12,7 +12,7 @@ m x m matrix A^T A share their nonzero eigenvalues and their trace, so the
 ridge fit is solved on whichever of the two is smaller, and the empirical
 effective dimension is read from the eigenvalues of A^T A.  A^T A is formed
 as the m x m product Phi^T Phi scaled entrywise by sqrt(w_i) sqrt(w_j), so
-Phi is never copied into A on that side.
+Phi is never copied into A there.
 """
 
 from __future__ import annotations
