@@ -8,6 +8,7 @@ only one module needs stays in that module.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def positive(name: str, value: float) -> None:
@@ -44,6 +45,14 @@ def at_least_one(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def count(name: str, value: int) -> int:
+    """An integer >= 1 as an int; numpy integers pass, bool and integral floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    at_least_one(name, value)
+    return int(value)
+
+
 def sample_size(ell: float) -> float:
     """ell >= 1 as a finite float64: inf, or an integer past about 1.8e308, is rejected."""
     at_least_one("ell", ell)
@@ -69,9 +78,7 @@ def decay_model(beta: float, b: float, finite: bool = True) -> None:
 
     An infinite beta makes every t_n infinite; an infinite b zeroes every t_n past the first.
     """
-    positive("beta", beta)
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite here, got {beta}")
+    positive_finite("beta", beta)
     decay_exponent(b, finite)
 
 

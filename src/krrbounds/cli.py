@@ -246,8 +246,8 @@ def _cmd_simulate(args) -> int:
     print(f"wrote report to {config.report_path}")
     print(f"  fitted slope     = {_fmt(comparison.fit.slope)} (r^2 = {_fmt(comparison.fit.r_squared)})")
     print(f"  theoretical      = {_fmt(comparison.theoretical_slope)}")
-    print(f"  difference       = {_fmt(comparison.difference)}")
-    if comparison.log_factor_caveat:
+    print(f"  difference       = {_fmt(comparison.fit.slope - comparison.theoretical_slope)}")
+    if config.sweep.c == 1.0:
         print("  note: c = 1 fit ignores the log(ell) factor in the schedule rate")
     return 0
 

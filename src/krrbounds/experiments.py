@@ -40,8 +40,7 @@ __all__ = [
     "write_report_csv",
 ]
 
-# Source-condition radius used by every sweep; the record schema does not
-# carry it, so it stays fixed rather than silently configurable.
+# Source-condition radius of every sweep's target; no config key sets it.
 TARGET_RADIUS = 1.0
 
 # Smallest grid points are excluded from slope fits by default: the rate
@@ -68,29 +67,27 @@ class RateSweepConfig:
         if not self.ell_grid:
             raise ValueError("ell_grid must be nonempty")
         for ell in self.ell_grid:
-            rates.lambda_schedule(self.b, self.c, ell)
+            rates.lambda_schedule(self.b, self.c, _checks.count("ell", ell))
         if list(self.ell_grid) != sorted(set(self.ell_grid)):
             raise ValueError("ell_grid must be strictly increasing")
-        _checks.at_least_one("repetitions", self.repetitions)
-        _checks.at_least_one("n_modes", self.n_modes)
+        _checks.count("repetitions", self.repetitions)
+        _checks.count("n_modes", self.n_modes)
         _checks.positive("delta", self.delta)
 
 
 @dataclass(frozen=True)
 class RateExperimentRecord:
-    """One (ell, repetition) measurement, flat enough to persist as a line."""
+    """What one (ell, repetition) cell measured, flat enough to persist as a line.
+
+    The sweep's parameters are not repeated here; they are those of the
+    ``RateSweepConfig`` that produced the record.
+    """
 
     ell: int
     repetition: int
     lam: float
     excess_risk: float
     seed: int
-    b: float
-    c: float
-    beta: float
-    sigma: float
-    n_modes: int
-    delta: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.excess_risk < math.inf:
@@ -107,13 +104,15 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class RateComparison:
-    """Median sweep risk per ell, fitted against the theoretical rate."""
+    """Median sweep risk per ell, fitted against the theoretical rate.
+
+    The slope gap is ``fit.slope - theoretical_slope``; at c = 1 the rate
+    carries a log(ell) factor that the fit ignores.
+    """
 
     rows: tuple[tuple[int, float, float, bool], ...]  # (ell, lambda, risk, used_in_fit)
     fit: PowerLawFit
     theoretical_slope: float
-    difference: float
-    log_factor_caveat: bool
 
 
 @dataclass(frozen=True)
@@ -152,17 +151,7 @@ def run_cell(
     coefficients = krr.krr_fit_factored(dataset.features, model.eigenvalues, dataset.ys, lam)
     risk = synth.exact_excess_risk(theta, coefficients)
     return RateExperimentRecord(
-        ell=ell,
-        repetition=repetition,
-        lam=lam,
-        excess_risk=risk,
-        seed=seed,
-        b=config.b,
-        c=config.c,
-        beta=config.beta,
-        sigma=config.sigma,
-        n_modes=config.n_modes,
-        delta=config.delta,
+        ell=ell, repetition=repetition, lam=lam, excess_risk=risk, seed=seed
     )
 
 
@@ -212,7 +201,7 @@ def compare_with_theory(
     c: float,
     burn_in: int = DEFAULT_BURN_IN,
 ) -> RateComparison:
-    """Take the median risk per ell, fit the power law, and report the slope gap."""
+    """Take the median risk per ell and fit the power law beside the rate -bc/(bc+1)."""
     by_ell: dict[int, list[float]] = {}
     lam_by_ell: dict[int, float] = {}
     for record in records:
@@ -226,14 +215,7 @@ def compare_with_theory(
         for ell in ells
     )
     fit = fit_power_law([(ell, risk) for ell, lam, risk, used in rows if used])
-    theoretical_slope = -rates.rate_exponent(b, c)
-    return RateComparison(
-        rows=rows,
-        fit=fit,
-        theoretical_slope=theoretical_slope,
-        difference=fit.slope - theoretical_slope,
-        log_factor_caveat=(c == 1.0),
-    )
+    return RateComparison(rows=rows, fit=fit, theoretical_slope=-rates.rate_exponent(b, c))
 
 
 def effdim_convergence_experiment(
@@ -249,8 +231,8 @@ def effdim_convergence_experiment(
     ``krr.empirical_effective_dimension_factored``.
     """
     lams = _checks.lambda_grid(lambda_grid)
-    _checks.at_least_one("ell", ell)
-    _checks.at_least_one("repetitions", repetitions)
+    ell = _checks.count("ell", ell)
+    repetitions = _checks.count("repetitions", repetitions)
     per_rep = np.empty((repetitions, len(lams)))
     for rep in range(repetitions):
         rng = np.random.Generator(np.random.Philox(key=cell_seed(seed, ell, rep)))

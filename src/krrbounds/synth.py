@@ -96,14 +96,14 @@ class Dataset:
 
 def build_model(beta: float, b: float, n_modes: int) -> SpectralKernelModel:
     """Spectral model with eigenvalues beta * n**-b for n = 1..n_modes."""
-    _checks.at_least_one("n_modes", n_modes)
+    n_modes = _checks.count("n_modes", n_modes)
     _checks.decay_model(beta, b)
     beta, b = float(beta), float(b)
     eigenvalues = beta * np.arange(1, n_modes + 1, dtype=float) ** -b
     eigenvalues.setflags(write=False)
     kappa = math.sqrt(2.0 * beta * float(special.zeta(b)))
     return SpectralKernelModel(
-        beta=beta, b=b, n_modes=int(n_modes),
+        beta=beta, b=b, n_modes=n_modes,
         eigenvalues=eigenvalues, kappa=kappa,
     )
 
@@ -157,7 +157,7 @@ def sample_dataset(
     """
     _check_same_modes(model, theta)
     _checks.noise_scale(sigma)
-    _checks.at_least_one("ell", ell)
+    ell = _checks.count("ell", ell)
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = rng.uniform(0.0, 1.0, size=ell)
     bound = sigma * math.sqrt(3.0)

@@ -177,9 +177,10 @@ def test_criterion_08_rate_simulation(tmp_path, monkeypatch):
         comparison = compare_with_theory(
             records, config.sweep.b, config.sweep.c, burn_in=config.burn_in
         )
+        difference = comparison.fit.slope - comparison.theoretical_slope
         print(
             f"\n  fitted slope {comparison.fit.slope:+.4f} vs -0.8 "
-            f"(difference {comparison.difference:+.4f}, r^2 {comparison.fit.r_squared:.4f})"
+            f"(difference {difference:+.4f}, r^2 {comparison.fit.r_squared:.4f})"
         )
         assert abs(comparison.fit.slope - (-0.8)) <= 0.15
 

@@ -32,7 +32,6 @@ def sweep_config(**overrides):
 def record(**overrides):
     values = dict(
         ell=4, repetition=0, lam=rates.lambda_schedule(2.0, 2.0, 4), excess_risk=0.1, seed=0,
-        b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=8, delta=0.1,
     )
     values.update(overrides)
     return experiments.RateExperimentRecord(**values)
@@ -51,7 +50,7 @@ POSITIVE_GRID = "every lambda in lambda_grid must be positive"
 LAMBDA_FINITE = "lambda must be finite, got inf"
 FINITE_GRID = "every lambda in lambda_grid must be finite, got inf"
 NOISE_RANGE = "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"
-BETA_FINITE = "beta must be finite here, got inf"
+BETA_FINITE = "beta must be finite, got inf"
 ELL_FLOAT64 = "ell must fit in float64, got about 1e400"
 ELL_FINITE = "ell must be finite, got inf"
 
@@ -242,6 +241,24 @@ CASES = {
     "experiments.effdim_convergence_experiment ell": (lambda: convergence(ell=0), AT_LEAST_ONE),
     "experiments.effdim_convergence_experiment repetitions": (
         lambda: convergence(repetitions=0), AT_LEAST_ONE),
+    # ell, n_modes, repetitions that are not integers
+    "synth.build_model n_modes 2.5": (
+        lambda: synth.build_model(1.0, 2.0, 2.5), "n_modes must be an integer, got 2.5"),
+    "synth.build_model n_modes bool": (
+        lambda: synth.build_model(1.0, 2.0, True), "n_modes must be an integer, got True"),
+    "synth.sample_dataset ell 2000.0": (
+        lambda: synth.sample_dataset(MODEL, TARGET, 0.1, 2000.0, 0),
+        "ell must be an integer, got 2000.0"),
+    "experiments.RateSweepConfig ell_grid 8.5": (
+        lambda: sweep_config(ell_grid=(8.5, 16)), "ell must be an integer, got 8.5"),
+    "experiments.RateSweepConfig n_modes 4.5": (
+        lambda: sweep_config(n_modes=4.5), "n_modes must be an integer, got 4.5"),
+    "experiments.RateSweepConfig repetitions 1.5": (
+        lambda: sweep_config(repetitions=1.5), "repetitions must be an integer, got 1.5"),
+    "experiments.effdim_convergence_experiment ell 2000.0": (
+        lambda: convergence(ell=2000.0), "ell must be an integer, got 2000.0"),
+    "experiments.effdim_convergence_experiment repetitions 1.5": (
+        lambda: convergence(repetitions=1.5), "repetitions must be an integer, got 1.5"),
     # empty or nonpositive lambda grid
     "effdim.bound_comparison_table empty": (
         lambda: effdim.bound_comparison_table(1.0, 2.0, []), EMPTY_GRID),
@@ -296,3 +313,8 @@ def test_out_of_range_argument_rejected(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
 
+
+def test_counts_take_numpy_integers_as_int():
+    model = synth.build_model(1.0, 2.0, np.int64(8))
+    assert type(model.n_modes) is int and model.n_modes == 8
+    assert len(synth.sample_dataset(MODEL, TARGET, 0.1, np.int32(4), 0).xs) == 4

@@ -107,7 +107,7 @@ class TestEffdimCommand:
     def test_infinite_beta_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "effdim", "--beta", "inf", "--b", "2", "--lambda", "1e-3")
         assert (code, out) == (2, "")
-        assert err == "error: beta must be finite here, got inf\n"
+        assert err == "error: beta must be finite, got inf\n"
 
     def test_direct_term_cap_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -333,6 +333,7 @@ class TestSimulateCommand:
         assert (tmp_path / "records.txt").exists()
         assert (tmp_path / "report.csv").exists()
         assert "fitted slope" in out
+        assert "note:" not in out  # the config's c is 2
         lines = (tmp_path / "records.txt").read_text().splitlines()
         assert len(lines) == 3 * 2  # 3 grid points x 2 repetitions
         # the modes open(path, "w") gives: a new file's from the umask, an old file's kept
@@ -408,7 +409,7 @@ class TestSimulateCommand:
             ({"report_path": ""}, "report_path '': Is a directory"),
             ({"report_path": "./records.txt"},
              "report_path './records.txt' is the same file as records_path 'records.txt'"),
-            ({"beta": "inf"}, "beta must be finite here, got inf"),
+            ({"beta": "inf"}, "beta must be finite, got inf"),
             ({"sigma": "inf"}, "sigma must keep the noise range 2*sqrt(3)*sigma finite, got inf"),
             ({"aggregate": "median"}, "unknown config key 'aggregate'"),
             ({"burn_in": -1}, "burn_in must be nonnegative"),
@@ -462,7 +463,7 @@ class TestSimulateCommand:
 
     def test_infinite_beta_rejected_at_load(self, tmp_path):
         config = write_config(tmp_path / "run.cfg", beta="inf")
-        with pytest.raises(ValueError, match="beta must be finite here, got inf"):
+        with pytest.raises(ValueError, match="beta must be finite, got inf"):
             load_config(str(config))
 
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):

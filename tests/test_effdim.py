@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from krrbounds import effdim
 from krrbounds.effdim import (
+    DEFAULT_TOL,
     bound_comparison_table,
     claimed_bound,
     corrected_bound,
@@ -41,12 +42,16 @@ REFERENCE = json.loads(
 ENCLOSURE_MISSES = {
     (1.0, 1.01, 1e-8), (1.0, 1.01, 1e-6), (1.0, 1.01, 1e-4), (1.0, 1.1, 1e-8), (1.0, 1.1, 1e-6),
 }
+# Points whose cutoff n leaves a true width int_{n+1/2}^{n+1} f - f(n+1)/2 above
+# DEFAULT_TOL: the width the search stops on is a difference of two tails of size N,
+# below their rounding, and reads 0 there (ROADMAP item 2).
+CUTOFF_MISSES = {(1.0, 1.01, 1e-8), (1.0, 1.01, 1e-6), (1.0, 1.1, 1e-8), (1.0, 1.1, 1e-6)}
 
 
-def reference_cases():
+def reference_cases(misses):
     for point in REFERENCE:
         key = (point["beta"], point["b"], point["lambda"])
-        marks = pytest.mark.xfail(reason="ROADMAP item 2") if key in ENCLOSURE_MISSES else ()
+        marks = pytest.mark.xfail(reason="ROADMAP item 2") if key in misses else ()
         yield pytest.param(*key, Decimal(point["N"]), marks=marks, id="-".join(map(str, key)))
 
 
@@ -95,7 +100,7 @@ class TestEffectiveDimensionExact:
         with pytest.raises(RuntimeError, match="needs more than 67108864 direct terms for tol="):
             effective_dimension_exact(polynomial_spectrum(1.0, b), lam, tol)
 
-    @pytest.mark.parametrize("beta, b, lam, reference", list(reference_cases()))
+    @pytest.mark.parametrize("beta, b, lam, reference", list(reference_cases(ENCLOSURE_MISSES)))
     def test_reference_value_in_enclosure(self, beta, b, lam, reference):
         res = effective_dimension_exact(polynomial_spectrum(beta, b), lam)
         low = Decimal(res.value)
@@ -103,6 +108,18 @@ class TestEffectiveDimensionExact:
             ctx.prec, ctx.traps[Inexact] = 1000, True  # the sum of two floats, exactly
             high = low + Decimal(res.truncation_error_bound)
         assert low <= reference <= high
+
+    @pytest.mark.parametrize("beta, b, lam, reference", list(reference_cases(CUTOFF_MISSES)))
+    def test_cutoff_meets_tol(self, beta, b, lam, reference):
+        # With n terms summed, the tail past n lies in an interval of width
+        # int_{n+1/2}^{n+1} f - f(n+1)/2 (the convexity bounds of effective_dimension_exact).
+        n = effective_dimension_exact(polynomial_spectrum(beta, b), lam).terms_summed
+        with mpmath.workdps(40):
+            def f(x):
+                return beta / (beta + lam * x**b)
+
+            width = mpmath.quad(f, [n + 0.5, n + 1]) - f(mpmath.mpf(n + 1)) / 2
+        assert width <= DEFAULT_TOL
 
 
 CHUNK = effdim._SUM_CHUNK

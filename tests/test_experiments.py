@@ -158,7 +158,6 @@ class TestCompareWithTheory:
             RateExperimentRecord(
                 ell=ell, repetition=0, lam=lambda_schedule(2.0, 1.5, ell),
                 excess_risk=2.0 * ell**slope, seed=0,
-                b=2.0, c=1.5, beta=1.0, sigma=0.1, n_modes=16, delta=0.1,
             )
             for ell in ells
         ]
@@ -166,15 +165,14 @@ class TestCompareWithTheory:
     def test_exact_power_law_zero_difference(self):
         comp = compare_with_theory(self._records(-0.75), 2.0, 1.5, burn_in=0)
         assert comp.theoretical_slope == -0.75
-        assert comp.difference == pytest.approx(0.0, abs=1e-12)
-        assert not comp.log_factor_caveat
+        assert comp.fit.slope - comp.theoretical_slope == pytest.approx(0.0, abs=1e-12)
 
     def test_median_of_skewed_triple_is_middle_run(self):
         # skewed triple per ell: the median is the middle run, the mean would not be
         records = self._records(-0.75) + self._records(-0.6) + self._records(-0.9)
         comp = compare_with_theory(records, 2.0, 1.5, burn_in=0)
         assert comp.rows == compare_with_theory(self._records(-0.75), 2.0, 1.5, burn_in=0).rows
-        assert comp.difference == pytest.approx(0.0, abs=1e-12)
+        assert comp.fit.slope - comp.theoretical_slope == pytest.approx(0.0, abs=1e-12)
         for ell, _, risk, _ in comp.rows:
             assert risk < np.mean([2.0 * ell**slope for slope in (-0.75, -0.6, -0.9)])
 
@@ -184,17 +182,15 @@ class TestCompareWithTheory:
         assert used == [False, False, True, True]
         assert comp.fit.n_points == 2
 
-    def test_c_one_sets_caveat(self):
+    def test_c_one_theoretical_slope(self):
         records = [
             RateExperimentRecord(
                 ell=ell, repetition=0, lam=lambda_schedule(2.0, 1.0, ell),
                 excess_risk=1.0 * ell**-0.5, seed=0,
-                b=2.0, c=1.0, beta=1.0, sigma=0.1, n_modes=16, delta=0.1,
             )
             for ell in (64, 128, 256)
         ]
         comp = compare_with_theory(records, 2.0, 1.0, burn_in=0)
-        assert comp.log_factor_caveat
         assert comp.theoretical_slope == pytest.approx(-2.0 / 3.0)
 
 
@@ -245,20 +241,16 @@ class TestPersistence:
         assert first[2] == repr(r.lam)
         assert first[3] == repr(r.excess_risk)
         assert first[4] == str(r.seed)
-        assert first[5:] == [repr(2.0), repr(2.0), repr(1.0), repr(0.1), "32", repr(0.1)]
+        assert len(first) == 5
 
     def test_single_record_line_is_fixed(self, tmp_path):
         record = RateExperimentRecord(
             ell=64, repetition=3, lam=lambda_schedule(2.0, 2.0, 64),
             excess_risk=0.012345678901234567, seed=9007199254740993,
-            b=2.0, c=2.0, beta=1.0, sigma=0.1, n_modes=512, delta=0.1,
         )
         path = tmp_path / "records.txt"
         write_records([record], path)
-        assert path.read_bytes() == (
-            b"64,3,0.18946457081379975,0.012345678901234567,9007199254740993,"
-            b"2.0,2.0,1.0,0.1,512,0.1\n"
-        )
+        assert path.read_bytes() == b"64,3,0.18946457081379975,0.012345678901234567,9007199254740993\n"
 
     def test_report_csv_has_header(self, tmp_path):
         records = rate_sweep(small_config())
